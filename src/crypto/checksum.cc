@@ -1,5 +1,6 @@
 #include "src/crypto/checksum.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "src/crypto/crc32.h"
@@ -35,36 +36,45 @@ bool IsCollisionProof(ChecksumType type) { return type != ChecksumType::kCrc32; 
 
 bool IsKeyed(ChecksumType type) { return type == ChecksumType::kMd4Des; }
 
-kerb::Bytes ComputeChecksum(ChecksumType type, kerb::BytesView data,
-                            const std::optional<DesKey>& key) {
+void ComputeChecksumInto(ChecksumType type, kerb::BytesView data,
+                         const std::optional<DesKey>& key, uint8_t* out) {
   switch (type) {
     case ChecksumType::kCrc32: {
-      uint32_t c = Crc32(data);
-      return kerb::Bytes{
-          static_cast<uint8_t>(c & 0xff),
-          static_cast<uint8_t>((c >> 8) & 0xff),
-          static_cast<uint8_t>((c >> 16) & 0xff),
-          static_cast<uint8_t>((c >> 24) & 0xff),
-      };
+      const uint32_t c = Crc32(data);
+      for (int i = 0; i < 4; ++i) {
+        out[i] = static_cast<uint8_t>(c >> (8 * i));
+      }
+      return;
     }
     case ChecksumType::kMd4: {
-      Md4Digest d = Md4(data);
-      return kerb::Bytes(d.begin(), d.end());
+      const Md4Digest d = Md4(data);
+      std::copy(d.begin(), d.end(), out);
+      return;
     }
     case ChecksumType::kMd4Des: {
       assert(key.has_value());
-      Md4Digest d = Md4(data);
-      DesKey variant = key->Variant(0xf0);
-      return EncryptCbc(variant, kZeroIv, kerb::BytesView(d.data(), d.size()));
+      const Md4Digest d = Md4(data);
+      std::copy(d.begin(), d.end(), out);
+      EncryptCbcInPlace(key->Variant(0xf0), kZeroIv, out, d.size());
+      return;
     }
   }
-  return {};
+}
+
+kerb::Bytes ComputeChecksum(ChecksumType type, kerb::BytesView data,
+                            const std::optional<DesKey>& key) {
+  kerb::Bytes out(ChecksumSize(type));
+  ComputeChecksumInto(type, data, key, out.data());
+  return out;
 }
 
 bool VerifyChecksum(ChecksumType type, kerb::BytesView data, kerb::BytesView expected,
                     const std::optional<DesKey>& key) {
-  kerb::Bytes computed = ComputeChecksum(type, data, key);
-  return kerb::ConstantTimeEqual(computed, expected);
+  uint8_t computed[16];
+  const size_t size = ChecksumSize(type);
+  assert(size <= sizeof(computed));
+  ComputeChecksumInto(type, data, key, computed);
+  return kerb::ConstantTimeEqual(kerb::BytesView(computed, size), expected);
 }
 
 }  // namespace kcrypto

@@ -49,6 +49,11 @@ bool IsKeyed(ChecksumType type);
 kerb::Bytes ComputeChecksum(ChecksumType type, kerb::BytesView data,
                             const std::optional<DesKey>& key = std::nullopt);
 
+// ComputeChecksum written to out[0, ChecksumSize(type)) instead of a fresh
+// buffer; the encryption layer seals and verifies through this.
+void ComputeChecksumInto(ChecksumType type, kerb::BytesView data,
+                         const std::optional<DesKey>& key, uint8_t* out);
+
 // Verifies `expected` against `data`.
 bool VerifyChecksum(ChecksumType type, kerb::BytesView data, kerb::BytesView expected,
                     const std::optional<DesKey>& key = std::nullopt);

@@ -24,14 +24,20 @@ namespace kcrypto {
 // 0xEDB88320, final XOR 0xFFFFFFFF.
 uint32_t Crc32(kerb::BytesView data);
 
+// The same CRC, one table lookup per byte. This is the textbook loop the
+// slice-by-8 Update is checked against (tests/crypto/wire_oracle_test.cc)
+// and timed against (bench_smoke_crc32_guard); protocol code uses Crc32.
+uint32_t Crc32Bytewise(kerb::BytesView data);
+
 // Incremental interface.
 class Crc32State {
  public:
+  // Slice-by-8: eight bytes per step through eight derived tables, the
+  // bytewise table for the remaining tail.
   void Update(kerb::BytesView data);
   uint32_t Final() const { return reg_ ^ 0xffffffffu; }
 
  private:
-  friend std::array<uint8_t, 4> ForgePatch(kerb::BytesView, uint32_t);
   uint32_t reg_ = 0xffffffffu;
 };
 

@@ -142,8 +142,7 @@ void DesKey::Schedule() {
   }
 }
 
-uint64_t DesKey::EncryptBlock(uint64_t plaintext) const {
-  uint64_t block = ApplyIp(plaintext);
+uint64_t DesKey::EncryptRounds(uint64_t block) const {
   uint32_t l = static_cast<uint32_t>(block >> 32);
   uint32_t r = static_cast<uint32_t>(block);
   for (int round = 0; round < 16; round += 2) {
@@ -152,8 +151,26 @@ uint64_t DesKey::EncryptBlock(uint64_t plaintext) const {
     r ^= FeistelFast(l, roundkeys_[round + 1].data());
   }
   // Note the final swap: the output is R16 || L16.
-  uint64_t preout = (static_cast<uint64_t>(r) << 32) | l;
-  return ApplyFp(preout);
+  return (static_cast<uint64_t>(r) << 32) | l;
+}
+
+uint64_t DesKey::EncryptBlock(uint64_t plaintext) const {
+  return ApplyFp(EncryptRounds(ApplyIp(plaintext)));
+}
+
+uint64_t DesKey::EncryptCbcBlocks(uint64_t iv, const uint64_t* in, uint64_t* out,
+                                  size_t n) const {
+  // C_i = FP(rounds(IP(P_i ^ C_{i-1}))). IP is a bit permutation, so
+  // IP(P_i ^ C_{i-1}) = IP(P_i) ^ IP(C_{i-1}), and IP(C_{i-1}) is the previous
+  // block's pre-output x_{i-1} because IP undoes FP. Chaining on x keeps only
+  // the rounds on the serial path: IP(P_i) and FP(x_i) depend on nothing the
+  // next block waits for, so they overlap with its rounds.
+  uint64_t x = ApplyIp(iv);
+  for (size_t i = 0; i < n; ++i) {
+    x = EncryptRounds(ApplyIp(in[i]) ^ x);
+    out[i] = ApplyFp(x);
+  }
+  return ApplyFp(x);
 }
 
 uint64_t DesKey::DecryptBlock(uint64_t ciphertext) const {

@@ -79,6 +79,12 @@ class DesKey {
   void EncryptBlocks2(const uint64_t* in, uint64_t* out, size_t n) const;
   void DecryptBlocks2(const uint64_t* in, uint64_t* out, size_t n) const;
 
+  // CBC encryption of n blocks from chaining value `iv` (in == out allowed);
+  // returns the last ciphertext block, or `iv` when n == 0. Byte-identical
+  // to chaining EncryptBlock, but the chain is carried between the initial
+  // and final permutations, so IP and FP leave the per-block serial path.
+  uint64_t EncryptCbcBlocks(uint64_t iv, const uint64_t* in, uint64_t* out, size_t n) const;
+
   DesBlock EncryptBlock(const DesBlock& plaintext) const;
   DesBlock DecryptBlock(const DesBlock& ciphertext) const;
 
@@ -91,6 +97,8 @@ class DesKey {
 
  private:
   void Schedule();
+  // The 16 rounds and final swap between IP and FP.
+  uint64_t EncryptRounds(uint64_t block) const;
 
   DesBlock bytes_{};
   // Each 48-bit round key as two 32-bit words: [0] holds the even S-box

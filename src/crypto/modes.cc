@@ -17,7 +17,7 @@ void Pkcs5PadInPlace(kerb::Bytes& data) {
   data.insert(data.end(), pad, static_cast<uint8_t>(pad));
 }
 
-kerb::Result<kerb::Bytes> Pkcs5Unpad(kerb::BytesView data) {
+kerb::Result<size_t> Pkcs5UnpaddedLength(kerb::BytesView data) {
   if (data.empty() || data.size() % 8 != 0) {
     return kerb::MakeError(kerb::ErrorCode::kBadFormat, "padded data not a multiple of 8");
   }
@@ -30,7 +30,15 @@ kerb::Result<kerb::Bytes> Pkcs5Unpad(kerb::BytesView data) {
       return kerb::MakeError(kerb::ErrorCode::kBadFormat, "inconsistent pad bytes");
     }
   }
-  return kerb::Bytes(data.begin(), data.end() - pad);
+  return data.size() - pad;
+}
+
+kerb::Result<kerb::Bytes> Pkcs5Unpad(kerb::BytesView data) {
+  auto len = Pkcs5UnpaddedLength(data);
+  if (!len.ok()) {
+    return len.error();
+  }
+  return kerb::Bytes(data.begin(), data.begin() + static_cast<ptrdiff_t>(len.value()));
 }
 
 kerb::Bytes ZeroPadTo8(kerb::BytesView data) {
@@ -59,11 +67,7 @@ void EcbDecryptBlocks(const DesKey& key, const uint64_t* in, uint64_t* out, size
 
 void CbcEncryptBlocks(const DesKey& key, uint64_t iv, const uint64_t* in, uint64_t* out,
                       size_t n) {
-  uint64_t chain = iv;
-  for (size_t i = 0; i < n; ++i) {
-    chain = key.EncryptBlock(in[i] ^ chain);
-    out[i] = chain;
-  }
+  key.EncryptCbcBlocks(iv, in, out, n);
 }
 
 void CbcDecryptBlocks(const DesKey& key, uint64_t iv, const uint64_t* in, uint64_t* out,
@@ -159,9 +163,16 @@ void DecryptEcbInPlace(const DesKey& key, uint8_t* data, size_t size) {
 void EncryptCbcInPlace(const DesKey& key, const DesBlock& iv, uint8_t* data, size_t size) {
   assert(size % 8 == 0);
   uint64_t chain = BlockToU64(iv);
-  for (size_t off = 0; off < size; off += 8) {
-    chain = key.EncryptBlock(LoadU64BE(data + off) ^ chain);
-    StoreU64BE(data + off, chain);
+  uint64_t b[kBulkChunk];
+  for (size_t off = 0; off < size; off += 8 * kBulkChunk) {
+    const size_t m = std::min(kBulkChunk, (size - off) / 8);
+    for (size_t i = 0; i < m; ++i) {
+      b[i] = LoadU64BE(data + off + 8 * i);
+    }
+    chain = key.EncryptCbcBlocks(chain, b, b, m);
+    for (size_t i = 0; i < m; ++i) {
+      StoreU64BE(data + off + 8 * i, b[i]);
+    }
   }
 }
 

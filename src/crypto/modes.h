@@ -43,6 +43,10 @@ kerb::Bytes Pkcs5Pad(kerb::BytesView data);
 // Appends PKCS#5 padding to `data` in place.
 void Pkcs5PadInPlace(kerb::Bytes& data);
 
+// Length of `data` without its PKCS#5 padding, checked in place; fails
+// with kBadFormat on malformed padding.
+kerb::Result<size_t> Pkcs5UnpaddedLength(kerb::BytesView data);
+
 // Removes PKCS#5 padding; fails with kBadFormat on malformed padding.
 kerb::Result<kerb::Bytes> Pkcs5Unpad(kerb::BytesView data);
 

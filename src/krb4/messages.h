@@ -103,7 +103,12 @@ struct Ticket4 {
   static kerb::Result<Ticket4> Unseal(const kcrypto::DesKey& service_key,
                                       kerb::BytesView sealed);
 
-  bool Expired(ksim::Time now) const { return now > issued_at + lifetime; }
+  // A sum that overflows can only come from garbage fields; it counts as
+  // expired rather than wrapping into the validity window.
+  bool Expired(ksim::Time now) const {
+    ksim::Time end;
+    return __builtin_add_overflow(issued_at, lifetime, &end) || now > end;
+  }
 };
 
 // Authenticator: encrypted in the session key from the ticket.

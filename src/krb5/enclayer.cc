@@ -1,46 +1,26 @@
 #include "src/krb5/enclayer.h"
 
+#include <algorithm>
+#include <cassert>
+
 #include "src/crypto/modes.h"
 #include "src/encoding/io.h"
 #include "src/obs/kobs.h"
 
 namespace krb5 {
 
-kerb::Bytes SealTlvWithIv(const kcrypto::DesKey& key, const kcrypto::DesBlock& iv,
-                          const kenc::TlvMessage& msg, const EncLayerConfig& config,
-                          kcrypto::Prng& prng) {
-  kerb::Bytes body = msg.Encode();
-  size_t checksum_len = kcrypto::ChecksumSize(config.checksum);
-
-  kenc::Writer w;
-  if (config.use_confounder) {
-    w.PutBytes(prng.NextBytes(8));
-  }
-  w.PutU8(static_cast<uint8_t>(config.checksum));
-  size_t checksum_offset = w.size();
-  w.PutBytes(kerb::Bytes(checksum_len, 0));
-  w.PutBytes(body);
-
-  kerb::Bytes plain = w.Take();
-  kerb::Bytes checksum = kcrypto::ComputeChecksum(config.checksum, plain, key);
-  std::copy(checksum.begin(), checksum.end(), plain.begin() + checksum_offset);
-  kcrypto::Pkcs5PadInPlace(plain);
-  kcrypto::EncryptCbcInPlace(key, iv, plain.data(), plain.size());
-  kobs::EmitNow(kobs::kSrcSeal5, kobs::Ev::kSeal, plain.size(),
-                static_cast<uint64_t>(config.checksum));
-  return plain;
-}
-
 namespace {
 
-// Shared tail of the Into-style seals: writes the confounder/checksum-type
-// prefix, lets `append_body` add the TLV bytes, then checksums (over the
-// zeroed checksum field), pads, and encrypts — the same order SealTlvWithIv
-// uses.
+// Every seal: writes the confounder/checksum-type prefix, lets `append_body`
+// add the `body_size` TLV bytes, then checksums (over the zeroed checksum
+// field), pads, and encrypts — all in `out`, which is cleared first and
+// sized once.
 template <typename AppendBody>
-void SealBodyInto(const kcrypto::DesKey& key, const EncLayerConfig& config,
-                  kcrypto::Prng& prng, kerb::Bytes& out, AppendBody&& append_body) {
+void SealBodyInto(const kcrypto::DesKey& key, const kcrypto::DesBlock& iv,
+                  const EncLayerConfig& config, kcrypto::Prng& prng, size_t body_size,
+                  kerb::Bytes& out, AppendBody&& append_body) {
   const size_t checksum_len = kcrypto::ChecksumSize(config.checksum);
+  out.reserve(8 + 1 + checksum_len + body_size + 8);
   kenc::Writer w(&out);  // clears `out`, keeps its capacity
   if (config.use_confounder) {
     uint8_t confounder[8];
@@ -53,24 +33,35 @@ void SealBodyInto(const kcrypto::DesKey& key, const EncLayerConfig& config,
     w.PutU8(0);
   }
   append_body(w);
-  kerb::Bytes checksum = kcrypto::ComputeChecksum(config.checksum, out, key);
-  std::copy(checksum.begin(), checksum.end(), out.begin() + checksum_offset);
+  uint8_t checksum[16];
+  kcrypto::ComputeChecksumInto(config.checksum, out, key, checksum);
+  std::copy_n(checksum, checksum_len, out.begin() + checksum_offset);
   kcrypto::Pkcs5PadInPlace(out);
-  kcrypto::EncryptCbcInPlace(key, kcrypto::kZeroIv, out.data(), out.size());
+  kcrypto::EncryptCbcInPlace(key, iv, out.data(), out.size());
   kobs::EmitNow(kobs::kSrcSeal5, kobs::Ev::kSeal, out.size(),
                 static_cast<uint64_t>(config.checksum));
 }
 
 }  // namespace
 
+kerb::Bytes SealTlvWithIv(const kcrypto::DesKey& key, const kcrypto::DesBlock& iv,
+                          const kenc::TlvMessage& msg, const EncLayerConfig& config,
+                          kcrypto::Prng& prng) {
+  kerb::Bytes out;
+  SealBodyInto(key, iv, config, prng, msg.EncodedSize(), out,
+               [&msg](kenc::Writer& w) { msg.AppendTo(w); });
+  return out;
+}
+
 void SealTlvInto(const kcrypto::DesKey& key, const kenc::TlvMessage& msg,
                  const EncLayerConfig& config, kcrypto::Prng& prng, kerb::Bytes& out) {
-  SealBodyInto(key, config, prng, out, [&msg](kenc::Writer& w) { msg.AppendTo(w); });
+  SealBodyInto(key, kcrypto::kZeroIv, config, prng, msg.EncodedSize(), out,
+               [&msg](kenc::Writer& w) { msg.AppendTo(w); });
 }
 
 void SealEncodedInto(const kcrypto::DesKey& key, kerb::BytesView encoded_msg,
                      const EncLayerConfig& config, kcrypto::Prng& prng, kerb::Bytes& out) {
-  SealBodyInto(key, config, prng, out,
+  SealBodyInto(key, kcrypto::kZeroIv, config, prng, encoded_msg.size(), out,
                [encoded_msg](kenc::Writer& w) { w.PutBytes(encoded_msg); });
 }
 
@@ -84,36 +75,38 @@ kerb::Result<kenc::TlvMessage> UnsealTlvWithIvImpl(const kcrypto::DesKey& key,
   if (sealed.empty() || sealed.size() % 8 != 0) {
     return kerb::MakeError(kerb::ErrorCode::kBadFormat, "sealed data not block-aligned");
   }
-  kerb::Bytes padded(sealed.begin(), sealed.end());
-  kcrypto::DecryptCbcInPlace(key, iv, padded.data(), padded.size());
-  auto plain = kcrypto::Pkcs5Unpad(padded);
-  if (!plain.ok()) {
+  // One buffer: decrypt, check the padding, zero the checksum field and
+  // verify, all in place; the TLV decode then reads a view of it.
+  kerb::Bytes plain(sealed.begin(), sealed.end());
+  kcrypto::DecryptCbcInPlace(key, iv, plain.data(), plain.size());
+  auto unpadded = kcrypto::Pkcs5UnpaddedLength(plain);
+  if (!unpadded.ok()) {
     return kerb::MakeError(kerb::ErrorCode::kIntegrity, "padding invalid (wrong key/IV?)");
   }
-  kenc::Reader r(plain.value());
-  if (config.use_confounder) {
-    auto confounder = r.GetBytes(8);
-    if (!confounder.ok()) {
-      return kerb::MakeError(kerb::ErrorCode::kIntegrity, "confounder missing");
-    }
+  const size_t end = unpadded.value();
+  const size_t type_offset = config.use_confounder ? 8u : 0u;
+  if (end < type_offset) {
+    return kerb::MakeError(kerb::ErrorCode::kIntegrity, "confounder missing");
   }
-  auto type_byte = r.GetU8();
-  if (!type_byte.ok() || type_byte.value() != static_cast<uint8_t>(config.checksum)) {
+  if (end == type_offset || plain[type_offset] != static_cast<uint8_t>(config.checksum)) {
     return kerb::MakeError(kerb::ErrorCode::kIntegrity, "checksum type mismatch");
   }
-  size_t checksum_len = kcrypto::ChecksumSize(config.checksum);
-  auto checksum = r.GetBytes(checksum_len);
-  if (!checksum.ok()) {
+  const size_t checksum_offset = type_offset + 1;
+  const size_t checksum_len = kcrypto::ChecksumSize(config.checksum);
+  if (end - checksum_offset < checksum_len) {
     return kerb::MakeError(kerb::ErrorCode::kIntegrity, "checksum missing");
   }
-  kerb::Bytes verify_buf = plain.value();
-  size_t checksum_offset = (config.use_confounder ? 8u : 0u) + 1u;
-  std::fill(verify_buf.begin() + checksum_offset,
-            verify_buf.begin() + checksum_offset + checksum_len, 0);
-  if (!kcrypto::VerifyChecksum(config.checksum, verify_buf, checksum.value(), key)) {
+  uint8_t checksum[16];
+  assert(checksum_len <= sizeof(checksum));
+  std::copy_n(plain.begin() + checksum_offset, checksum_len, checksum);
+  std::fill_n(plain.begin() + checksum_offset, checksum_len, 0);
+  if (!kcrypto::VerifyChecksum(config.checksum, kerb::BytesView(plain.data(), end),
+                               kerb::BytesView(checksum, checksum_len), key)) {
     return kerb::MakeError(kerb::ErrorCode::kIntegrity, "checksum mismatch");
   }
-  return kenc::TlvMessage::DecodeExpecting(expected_type, r.Rest());
+  const size_t body = checksum_offset + checksum_len;
+  return kenc::TlvMessage::DecodeExpecting(expected_type,
+                                           kerb::BytesView(plain.data() + body, end - body));
 }
 
 }  // namespace

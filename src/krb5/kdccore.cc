@@ -718,7 +718,7 @@ void KdcCore5::HandleAsBatch(const ksim::Message* msgs, size_t n, KdcContext& ct
       decoded.push_back(kerb::MakeError(kerb::ErrorCode::kBadFormat, "message type mismatch"));
       continue;
     }
-    decoded.push_back(AsRequest5::FromTlv(tlv.value()));
+    decoded.emplace_back(AsRequest5::FromTlv(tlv.value()));
   }
   // Phase 2: resolve the batch's principal keys with at most one shard-lock
   // acquisition per shard.

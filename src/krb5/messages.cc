@@ -11,16 +11,39 @@ void PutKey(kenc::TlvMessage& msg, uint16_t key_tag, const kcrypto::DesBlock& ke
 }
 
 kerb::Result<kcrypto::DesBlock> GetKey(const kenc::TlvMessage& msg, uint16_t key_tag) {
-  auto bytes = msg.GetBytes(key_tag);
-  if (!bytes.ok()) {
-    return bytes.error();
+  auto bytes = msg.GetView(key_tag);
+  if (!bytes.has_value()) {
+    return kerb::MakeError(kerb::ErrorCode::kBadFormat, "missing key field");
   }
-  if (bytes.value().size() != 8) {
+  if (bytes->size() != 8) {
     return kerb::MakeError(kerb::ErrorCode::kBadFormat, "key field has wrong size");
   }
   kcrypto::DesBlock key;
-  std::copy(bytes.value().begin(), bytes.value().end(), key.begin());
+  std::copy(bytes->begin(), bytes->end(), key.begin());
   return key;
+}
+
+// Copies a required bytes field straight from the message buffer into
+// `out`; false when the field is absent.
+bool CopyBytes(const kenc::TlvMessage& msg, uint16_t tag, kerb::Bytes& out) {
+  auto v = msg.GetView(tag);
+  if (!v.has_value()) {
+    return false;
+  }
+  out.assign(v->begin(), v->end());
+  return true;
+}
+
+kerb::Result<Principal> GetPrincipal(const kenc::TlvMessage& msg, uint16_t name_tag,
+                                     uint16_t instance_tag, uint16_t realm_tag,
+                                     const char* missing) {
+  auto name = msg.GetView(name_tag);
+  auto instance = msg.GetView(instance_tag);
+  auto realm = msg.GetView(realm_tag);
+  if (!name.has_value() || !instance.has_value() || !realm.has_value()) {
+    return kerb::MakeError(kerb::ErrorCode::kBadFormat, missing);
+  }
+  return Principal{kerb::ToString(*name), kerb::ToString(*instance), kerb::ToString(*realm)};
 }
 
 std::string JoinTransited(const std::vector<std::string>& realms) {
@@ -64,23 +87,13 @@ void PutServer(kenc::TlvMessage& msg, const Principal& p) {
 }
 
 kerb::Result<Principal> GetClient(const kenc::TlvMessage& msg) {
-  auto name = msg.GetString(tag::kCname);
-  auto instance = msg.GetString(tag::kCinstance);
-  auto realm = msg.GetString(tag::kCrealm);
-  if (!name.ok() || !instance.ok() || !realm.ok()) {
-    return kerb::MakeError(kerb::ErrorCode::kBadFormat, "missing client principal");
-  }
-  return Principal{name.value(), instance.value(), realm.value()};
+  return GetPrincipal(msg, tag::kCname, tag::kCinstance, tag::kCrealm,
+                      "missing client principal");
 }
 
 kerb::Result<Principal> GetServer(const kenc::TlvMessage& msg) {
-  auto name = msg.GetString(tag::kSname);
-  auto instance = msg.GetString(tag::kSinstance);
-  auto realm = msg.GetString(tag::kSrealm);
-  if (!name.ok() || !instance.ok() || !realm.ok()) {
-    return kerb::MakeError(kerb::ErrorCode::kBadFormat, "missing server principal");
-  }
-  return Principal{name.value(), instance.value(), realm.value()};
+  return GetPrincipal(msg, tag::kSname, tag::kSinstance, tag::kSrealm,
+                      "missing server principal");
 }
 
 // --------------------------------------------------------------------------- Ticket5
@@ -138,15 +151,21 @@ kerb::Result<Ticket5> Ticket5::FromTlv(const kenc::TlvMessage& msg) {
   if (!service.ok() || !client.ok() || !flags.ok() || !issued.ok() || !life.ok() || !key.ok()) {
     return kerb::MakeError(kerb::ErrorCode::kBadFormat, "ticket missing fields");
   }
-  t.service = service.value();
-  t.client = client.value();
+  // A mis-sized address must fail the ticket, not read as "no address":
+  // that would silently skip every address check downstream.
+  auto addr = msg.GetOptionalU32(tag::kAddress);
+  if (!addr.ok()) {
+    return addr.error();
+  }
+  t.service = std::move(service).value();
+  t.client = std::move(client).value();
   t.flags = flags.value();
-  t.client_addr = msg.GetOptionalU32(tag::kAddress);
+  t.client_addr = addr.value();
   t.issued_at = static_cast<ksim::Time>(issued.value());
   t.lifetime = static_cast<ksim::Duration>(life.value());
   t.session_key = key.value();
-  if (msg.Has(tag::kTransited)) {
-    t.transited = SplitTransited(msg.GetString(tag::kTransited).value());
+  if (auto transited = msg.GetView(tag::kTransited)) {
+    t.transited = SplitTransited(kerb::ToString(*transited));
   }
   return t;
 }
@@ -199,10 +218,18 @@ kerb::Result<Authenticator5> Authenticator5::FromTlv(const kenc::TlvMessage& msg
   if (!client.ok() || !ts.ok()) {
     return kerb::MakeError(kerb::ErrorCode::kBadFormat, "authenticator missing fields");
   }
-  a.client = client.value();
+  auto type = msg.GetOptionalU32(tag::kChecksumType);
+  if (!type.ok()) {
+    return type.error();
+  }
+  auto seq = msg.GetOptionalU32(tag::kSeqNumber);
+  if (!seq.ok()) {
+    return seq.error();
+  }
+  a.client = std::move(client).value();
   a.timestamp = static_cast<ksim::Time>(ts.value());
-  if (auto type = msg.GetOptionalU32(tag::kChecksumType)) {
-    a.checksum_type = static_cast<kcrypto::ChecksumType>(*type);
+  if (type.value().has_value()) {
+    a.checksum_type = static_cast<kcrypto::ChecksumType>(*type.value());
   }
   a.request_checksum = msg.GetOptionalBytes(tag::kChecksum);
   if (msg.Has(tag::kSubkey)) {
@@ -212,9 +239,9 @@ kerb::Result<Authenticator5> Authenticator5::FromTlv(const kenc::TlvMessage& msg
     }
     a.subkey = key.value();
   }
-  a.initial_seq = msg.GetOptionalU32(tag::kSeqNumber);
-  if (msg.Has(tag::kServiceNameCheck)) {
-    a.service_name_check = msg.GetString(tag::kServiceNameCheck).value();
+  a.initial_seq = seq.value();
+  if (auto name = msg.GetView(tag::kServiceNameCheck)) {
+    a.service_name_check = kerb::ToString(*name);
   }
   return a;
 }
@@ -261,10 +288,14 @@ kerb::Result<AsRequest5> AsRequest5::FromTlv(const kenc::TlvMessage& msg) {
   if (!client.ok() || !realm.ok() || !life.ok() || !nonce.ok()) {
     return kerb::MakeError(kerb::ErrorCode::kBadFormat, "AS request missing fields");
   }
-  req.client = client.value();
-  req.service_realm = realm.value();
+  auto options = msg.GetOptionalU32(tag::kOptions);
+  if (!options.ok()) {
+    return options.error();
+  }
+  req.client = std::move(client).value();
+  req.service_realm = std::move(realm).value();
   req.lifetime = static_cast<ksim::Duration>(life.value());
-  req.options = msg.GetOptionalU32(tag::kOptions).value_or(0);
+  req.options = options.value().value_or(0);
   req.nonce = nonce.value();
   req.padata = msg.GetOptionalBytes(tag::kPadata);
   return req;
@@ -319,13 +350,10 @@ kerb::Result<AsReply5> AsReply5::FromTlv(const kenc::TlvMessage& msg) {
     return kerb::MakeError(kerb::ErrorCode::kBadFormat, "not an AS reply");
   }
   AsReply5 rep;
-  auto tgt = msg.GetBytes(tag::kTicketBlob);
-  auto part = msg.GetBytes(tag::kSealedPart);
-  if (!tgt.ok() || !part.ok()) {
+  if (!CopyBytes(msg, tag::kTicketBlob, rep.sealed_tgt) ||
+      !CopyBytes(msg, tag::kSealedPart, rep.sealed_enc_part)) {
     return kerb::MakeError(kerb::ErrorCode::kBadFormat, "AS reply missing fields");
   }
-  rep.sealed_tgt = tgt.value();
-  rep.sealed_enc_part = part.value();
   return rep;
 }
 
@@ -358,10 +386,14 @@ kerb::Result<AsPkRequest5> AsPkRequest5::FromTlv(const kenc::TlvMessage& msg) {
   if (!client.ok() || !realm.ok() || !life.ok() || !nonce.ok() || !pub.ok()) {
     return kerb::MakeError(kerb::ErrorCode::kBadFormat, "PK AS request missing fields");
   }
-  req.client = client.value();
-  req.service_realm = realm.value();
+  auto options = msg.GetOptionalU32(tag::kOptions);
+  if (!options.ok()) {
+    return options.error();
+  }
+  req.client = std::move(client).value();
+  req.service_realm = std::move(realm).value();
   req.lifetime = static_cast<ksim::Duration>(life.value());
-  req.options = msg.GetOptionalU32(tag::kOptions).value_or(0);
+  req.options = options.value().value_or(0);
   req.nonce = nonce.value();
   req.client_pub = pub.value();
   req.padata = msg.GetOptionalBytes(tag::kPadata);
@@ -399,7 +431,10 @@ kerb::Bytes TgsRequest5::ChecksumInput() const {
   // Canonical encoding of every field outside the encryption that the TGS
   // will act on. If the checksum sealing these is weak, an adversary can
   // rewrite them (E9).
-  kenc::Writer w;
+  kerb::Bytes out;
+  out.reserve(96 + service.name.size() + service.instance.size() + service.realm.size() +
+              tgt_realm.size() + additional_ticket.size() + authorization_data.size());
+  kenc::Writer w(&out);
   w.PutString(service.name);
   w.PutString(service.instance);
   w.PutString(service.realm);
@@ -412,7 +447,7 @@ kerb::Bytes TgsRequest5::ChecksumInput() const {
     additional_ticket_service->EncodeTo(w);
   }
   w.PutLengthPrefixed(authorization_data);
-  return w.Take();
+  return out;
 }
 
 kenc::TlvMessage TgsRequest5::ToTlv() const {
@@ -448,18 +483,17 @@ kerb::Result<TgsRequest5> TgsRequest5::FromTlv(const kenc::TlvMessage& msg) {
   auto options = msg.GetU32(tag::kOptions);
   auto nonce = msg.GetU64(tag::kNonce);
   auto tgt_realm = msg.GetString(tag::kTgtRealm);
-  auto tgt = msg.GetBytes(tag::kTicketBlob);
-  auto auth = msg.GetBytes(tag::kAuthBlob);
   if (!service.ok() || !life.ok() || !options.ok() || !nonce.ok() || !tgt_realm.ok() ||
-      !tgt.ok() || !auth.ok()) {
+      !CopyBytes(msg, tag::kTicketBlob, req.sealed_tgt) ||
+      !CopyBytes(msg, tag::kAuthBlob, req.sealed_authenticator)) {
     return kerb::MakeError(kerb::ErrorCode::kBadFormat, "TGS request missing fields");
   }
-  req.service = service.value();
+  req.service = std::move(service).value();
   req.lifetime = static_cast<ksim::Duration>(life.value());
   req.options = options.value();
   req.nonce = nonce.value();
-  req.tgt_realm = tgt_realm.value();
-  req.additional_ticket = msg.GetOptionalBytes(tag::kAdditionalTicket).value_or(kerb::Bytes{});
+  req.tgt_realm = std::move(tgt_realm).value();
+  CopyBytes(msg, tag::kAdditionalTicket, req.additional_ticket);
   if (msg.Has(tag::kAname)) {
     auto aname = msg.GetString(tag::kAname);
     auto ainstance = msg.GetString(tag::kAinstance);
@@ -469,10 +503,7 @@ kerb::Result<TgsRequest5> TgsRequest5::FromTlv(const kenc::TlvMessage& msg) {
     }
     req.additional_ticket_service = Principal{aname.value(), ainstance.value(), arealm.value()};
   }
-  req.authorization_data =
-      msg.GetOptionalBytes(tag::kAuthorizationData).value_or(kerb::Bytes{});
-  req.sealed_tgt = tgt.value();
-  req.sealed_authenticator = auth.value();
+  CopyBytes(msg, tag::kAuthorizationData, req.authorization_data);
   return req;
 }
 
@@ -524,13 +555,10 @@ kerb::Result<TgsReply5> TgsReply5::FromTlv(const kenc::TlvMessage& msg) {
     return kerb::MakeError(kerb::ErrorCode::kBadFormat, "not a TGS reply");
   }
   TgsReply5 rep;
-  auto ticket = msg.GetBytes(tag::kTicketBlob);
-  auto part = msg.GetBytes(tag::kSealedPart);
-  if (!ticket.ok() || !part.ok()) {
+  if (!CopyBytes(msg, tag::kTicketBlob, rep.sealed_ticket) ||
+      !CopyBytes(msg, tag::kSealedPart, rep.sealed_enc_part)) {
     return kerb::MakeError(kerb::ErrorCode::kBadFormat, "TGS reply missing fields");
   }
-  rep.sealed_ticket = ticket.value();
-  rep.sealed_enc_part = part.value();
   return rep;
 }
 
@@ -555,16 +583,13 @@ kerb::Result<ApRequest5> ApRequest5::FromTlv(const kenc::TlvMessage& msg) {
     return kerb::MakeError(kerb::ErrorCode::kBadFormat, "not an AP request");
   }
   ApRequest5 req;
-  auto ticket = msg.GetBytes(tag::kTicketBlob);
-  auto auth = msg.GetBytes(tag::kAuthBlob);
   auto mutual = msg.GetU32(tag::kMutual);
-  if (!ticket.ok() || !auth.ok() || !mutual.ok()) {
+  if (!CopyBytes(msg, tag::kTicketBlob, req.sealed_ticket) ||
+      !CopyBytes(msg, tag::kAuthBlob, req.sealed_authenticator) || !mutual.ok()) {
     return kerb::MakeError(kerb::ErrorCode::kBadFormat, "AP request missing fields");
   }
-  req.sealed_ticket = ticket.value();
-  req.sealed_authenticator = auth.value();
   req.want_mutual = mutual.value() != 0;
-  req.app_data = msg.GetOptionalBytes(tag::kAppData).value_or(kerb::Bytes{});
+  CopyBytes(msg, tag::kAppData, req.app_data);
   req.challenge_response = msg.GetOptionalBytes(tag::kChallengeResponse);
   return req;
 }
@@ -598,7 +623,11 @@ kerb::Result<EncApRepPart5> EncApRepPart5::FromTlv(const kenc::TlvMessage& msg) 
     }
     part.subkey = key.value();
   }
-  part.initial_seq = msg.GetOptionalU32(tag::kSeqNumber);
+  auto seq = msg.GetOptionalU32(tag::kSeqNumber);
+  if (!seq.ok()) {
+    return seq.error();
+  }
+  part.initial_seq = seq.value();
   return part;
 }
 

@@ -142,7 +142,12 @@ struct Ticket5 {
   static kerb::Result<Ticket5> Unseal(const kcrypto::DesKey& key, kerb::BytesView sealed,
                                       const EncLayerConfig& config);
 
-  bool Expired(ksim::Time now) const { return now > issued_at + lifetime; }
+  // A sum that overflows can only come from garbage fields; it counts as
+  // expired rather than wrapping into the validity window.
+  bool Expired(ksim::Time now) const {
+    ksim::Time end;
+    return __builtin_add_overflow(issued_at, lifetime, &end) || now > end;
+  }
 };
 
 // ---------------------------------------------------------------------------

@@ -74,8 +74,8 @@ TEST(TlvTest, DuplicateTagRejectedOnDecode) {
 TEST(TlvTest, OptionalFields) {
   TlvMessage msg(kTypeTicket);
   msg.SetU32(5, 99);
-  EXPECT_EQ(msg.GetOptionalU32(5), std::optional<uint32_t>(99));
-  EXPECT_EQ(msg.GetOptionalU32(6), std::nullopt);
+  EXPECT_EQ(msg.GetOptionalU32(5).value(), std::optional<uint32_t>(99));
+  EXPECT_EQ(msg.GetOptionalU32(6).value(), std::nullopt);
   EXPECT_EQ(msg.GetOptionalBytes(6), std::nullopt);
   EXPECT_FALSE(msg.GetU32(6).ok());
 }

@@ -403,6 +403,78 @@ TEST(MalformedTest, V5DecoderRejectsEveryTruncation) {
   EXPECT_EQ(accepted, 0) << "TLV length accounting admitted a truncated message";
 }
 
+// Every V5 message of a live session, requests and replies, through the flat
+// TLV decoder directly: each cut is refused; each single bit flip is either
+// refused as kBadFormat or decodes to a message that re-encodes and
+// re-decodes to itself (a flipped tag may legitimately reorder fields); and
+// a header that claims more fields, or any field length up to UINT32_MAX,
+// is refused without reading past the buffer.
+TEST(MalformedTest, V5DecoderSweepsEveryCapturedMessage) {
+  Testbed5 bed;
+  ksim::RecordingAdversary recorder;
+  bed.world().network().SetAdversary(&recorder);
+  ASSERT_TRUE(bed.alice().Login(Testbed5::kAlicePassword).ok());
+  ASSERT_TRUE(bed.alice().CallService(Testbed5::kMailAddr, bed.mail_principal(), true).ok());
+  bed.world().network().SetAdversary(nullptr);
+  std::vector<kerb::Bytes> messages;
+  for (const auto& exchange : recorder.exchanges()) {
+    messages.push_back(exchange.request.payload);
+    if (exchange.has_reply) {
+      messages.push_back(exchange.reply);
+    }
+  }
+  ASSERT_GE(messages.size(), 6u);
+
+  auto expect_self_consistent = [](const kenc::TlvMessage& msg, const char* what) {
+    const kerb::Bytes again = msg.Encode();
+    EXPECT_EQ(again.size(), msg.EncodedSize()) << what;
+    auto redecoded = kenc::TlvMessage::Decode(again);
+    ASSERT_TRUE(redecoded.ok()) << what;
+    EXPECT_TRUE(redecoded.value() == msg) << what;
+  };
+
+  for (const kerb::Bytes& wire : messages) {
+    auto whole = kenc::TlvMessage::Decode(wire);
+    ASSERT_TRUE(whole.ok());
+    expect_self_consistent(whole.value(), "untouched");
+    EXPECT_EQ(whole.value().Encode(), wire) << "captured messages are already canonical";
+
+    for (size_t len = 0; len < wire.size(); ++len) {
+      auto r = kenc::TlvMessage::Decode(kerb::BytesView(wire.data(), len));
+      ASSERT_FALSE(r.ok()) << "cut at " << len;
+      EXPECT_EQ(r.code(), kerb::ErrorCode::kBadFormat);
+    }
+    for (size_t bit = 0; bit < wire.size() * 8; ++bit) {
+      kerb::Bytes flipped = wire;
+      flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      auto r = kenc::TlvMessage::Decode(flipped);
+      if (r.ok()) {
+        expect_self_consistent(r.value(), "bit flip");
+      } else {
+        EXPECT_EQ(r.code(), kerb::ErrorCode::kBadFormat) << "bit " << bit;
+      }
+    }
+
+    kerb::Bytes more = wire;
+    more[3] = static_cast<uint8_t>(more[3] + 1);  // field count + 1 (counts are small)
+    EXPECT_FALSE(kenc::TlvMessage::Decode(more).ok());
+    // Walk the field headers and inflate each length in turn.
+    for (size_t pos = 4; pos + 6 <= wire.size();) {
+      const uint32_t len = (static_cast<uint32_t>(wire[pos + 2]) << 24) |
+                           (static_cast<uint32_t>(wire[pos + 3]) << 16) |
+                           (static_cast<uint32_t>(wire[pos + 4]) << 8) | wire[pos + 5];
+      for (uint32_t bad : {len + 1, 0xffffffffu, 0xffffffffu - static_cast<uint32_t>(pos)}) {
+        kerb::Bytes inflated = wire;
+        for (int i = 0; i < 4; ++i) {
+          inflated[pos + 2 + i] = static_cast<uint8_t>(bad >> (24 - 8 * i));
+        }
+        EXPECT_FALSE(kenc::TlvMessage::Decode(inflated).ok()) << "len " << bad << " at " << pos;
+      }
+      pos += 6 + len;
+    }
+  }
+}
+
 // --- kadmin wire sweeps (PR 8) ---------------------------------------------
 
 // A testbed with the admin plane up plus a logged-in operator, and one

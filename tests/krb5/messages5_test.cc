@@ -193,5 +193,103 @@ TEST(KrbError5Test, RoundTrip) {
   EXPECT_EQ(back.value().e_data, err.e_data);
 }
 
+// ------------------------------------------------------------------------
+// Fail-closed optional fields: an optional integer field that is present
+// but not 4 bytes long is a malformed message, never "field absent". Read
+// as absent, a mangled kAddress would switch off the KDC's and the app
+// server's address checks, and a mangled kOptions would read as 0.
+
+kenc::TlvMessage WithMisSized(kenc::TlvMessage msg, uint16_t tag) {
+  msg.SetBytes(tag, kerb::Bytes{1, 2, 3});
+  return msg;
+}
+
+TEST(FailClosed5Test, MisSizedAddressFailsTheTicket) {
+  kcrypto::Prng prng(21);
+  Ticket5 t;
+  t.service = Payroll();
+  t.client = Alice();
+  t.client_addr = 0x0a000001;
+  t.session_key = prng.NextDesKey().bytes();
+  auto back = Ticket5::FromTlv(WithMisSized(t.ToTlv(), tag::kAddress));
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.error().code, kerb::ErrorCode::kBadFormat);
+
+  // Sealed under the service key, the same ticket does not unseal, so no
+  // server ever sees it as an address-free ticket.
+  kcrypto::DesKey key = prng.NextDesKey();
+  EncLayerConfig config;
+  kerb::Bytes sealed = SealTlv(key, WithMisSized(t.ToTlv(), tag::kAddress), config, prng);
+  auto unsealed = Ticket5::Unseal(key, sealed, config);
+  ASSERT_FALSE(unsealed.ok());
+  EXPECT_EQ(unsealed.error().code, kerb::ErrorCode::kBadFormat);
+}
+
+TEST(FailClosed5Test, MisSizedChecksumTypeFailsTheAuthenticator) {
+  Authenticator5 a;
+  a.client = Alice();
+  a.timestamp = 1;
+  a.checksum_type = kcrypto::ChecksumType::kMd4;
+  a.request_checksum = kerb::Bytes(16, 7);
+  auto back = Authenticator5::FromTlv(WithMisSized(a.ToTlv(), tag::kChecksumType));
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.error().code, kerb::ErrorCode::kBadFormat);
+}
+
+TEST(FailClosed5Test, MisSizedSeqNumberFailsAuthenticatorAndApRepPart) {
+  Authenticator5 a;
+  a.client = Alice();
+  a.timestamp = 1;
+  a.initial_seq = 5;
+  auto auth = Authenticator5::FromTlv(WithMisSized(a.ToTlv(), tag::kSeqNumber));
+  ASSERT_FALSE(auth.ok());
+  EXPECT_EQ(auth.error().code, kerb::ErrorCode::kBadFormat);
+
+  EncApRepPart5 part;
+  part.timestamp = 1;
+  part.initial_seq = 5;
+  auto rep = EncApRepPart5::FromTlv(WithMisSized(part.ToTlv(), tag::kSeqNumber));
+  ASSERT_FALSE(rep.ok());
+  EXPECT_EQ(rep.error().code, kerb::ErrorCode::kBadFormat);
+}
+
+TEST(FailClosed5Test, MisSizedOptionsFailsAsAndPkAsRequests) {
+  AsRequest5 req;
+  req.client = Alice();
+  req.service_realm = "ATHENA.SIM";
+  req.options = kOptOmitAddress;
+  auto as = AsRequest5::FromTlv(WithMisSized(req.ToTlv(), tag::kOptions));
+  ASSERT_FALSE(as.ok());
+  EXPECT_EQ(as.error().code, kerb::ErrorCode::kBadFormat);
+
+  AsPkRequest5 pk;
+  pk.client = Alice();
+  pk.service_realm = "ATHENA.SIM";
+  pk.options = kOptOmitAddress;
+  pk.client_pub = kerb::Bytes{9};
+  auto pk_back = AsPkRequest5::FromTlv(WithMisSized(pk.ToTlv(), tag::kOptions));
+  ASSERT_FALSE(pk_back.ok());
+  EXPECT_EQ(pk_back.error().code, kerb::ErrorCode::kBadFormat);
+}
+
+TEST(FailClosed5Test, AbsentOptionalFieldsStillReadAsAbsent) {
+  Ticket5 t;
+  t.service = Payroll();
+  t.client = Alice();
+  kenc::TlvMessage msg = t.ToTlv();
+  ASSERT_FALSE(msg.Has(tag::kAddress));
+  auto back = Ticket5::FromTlv(msg);
+  ASSERT_TRUE(back.ok());
+  EXPECT_FALSE(back.value().client_addr.has_value());
+
+  AsRequest5 req;
+  req.client = Alice();
+  kenc::TlvMessage as = req.ToTlv();
+  as.Remove(tag::kOptions);
+  auto as_back = AsRequest5::FromTlv(as);
+  ASSERT_TRUE(as_back.ok());
+  EXPECT_EQ(as_back.value().options, 0u);
+}
+
 }  // namespace
 }  // namespace krb5
