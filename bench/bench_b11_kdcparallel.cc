@@ -193,65 +193,6 @@ BENCHMARK(BM_KdcParallelTgs)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// Batched dispatch variants (PR-6). Each worker drains its queue in
-// dispatches of up to KERB_KDC_BATCH requests through HandleAsBatch /
-// HandleTgsBatch — decode the dispatch, warm the key cache with one
-// LookupMany pass per shard, then serve in order. The per-worker request
-// count is larger than the sequential variant's so the fixed thread-spawn
-// cost (~hundreds of µs on this box) amortises below the noise floor and
-// the curve reflects serving throughput.
-constexpr uint64_t kBatchedRequestsPerWorker = 2048;
-
-void RunBatchedBenchmark(benchmark::State& state, unsigned threads, bool tgs) {
-  KdcBenchSetup& setup = BareSetup();
-  krb5::KdcCore5& core = setup.bed.kdc().core();
-  const ksim::Message& request = tgs ? setup.tgs_request : setup.as_request;
-  kattack::KdcBatchHandler handler =
-      [&core, tgs](const ksim::Message* msgs, size_t n, krb4::KdcContext& ctx,
-                   std::vector<kerb::Result<kerb::Bytes>>& replies) {
-        if (tgs) {
-          core.HandleTgsBatch(msgs, n, ctx, replies);
-        } else {
-          core.HandleAsBatch(msgs, n, ctx, replies);
-        }
-      };
-  int64_t total = 0;
-  for (auto _ : state) {
-    auto result = kattack::RunKdcLoadBatched(handler, request, threads,
-                                             kBatchedRequestsPerWorker, 0x5eed + threads);
-    if (result.requests_failed != 0) {
-      state.SkipWithError("KDC rejected requests under load");
-      return;
-    }
-    total += static_cast<int64_t>(result.requests_ok);
-  }
-  state.counters["threads"] = threads;
-  state.counters["batch"] = static_cast<double>(kattack::KdcBatchSize());
-  state.SetItemsProcessed(total);
-}
-
-void BM_KdcParallelAsBatched(benchmark::State& state) {
-  RunBatchedBenchmark(state, static_cast<unsigned>(state.range(0)), false);
-}
-BENCHMARK(BM_KdcParallelAsBatched)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-void BM_KdcParallelTgsBatched(benchmark::State& state) {
-  RunBatchedBenchmark(state, static_cast<unsigned>(state.range(0)), true);
-}
-BENCHMARK(BM_KdcParallelTgsBatched)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
 void BM_KdcParallelAsEnv(benchmark::State& state) {
   RunParallelBenchmark(state, kattack::KdcWorkerThreads(), false);
 }

@@ -11,9 +11,7 @@ distills the numbers every PR cares about:
         i.e. KdcCore5 serving cost on a pre-encoded request, without the
         client-side encode/decode the PR-1 numbers included
     kdc_parallel: requests/sec per worker-pool size (wall-clock), plus the
-        machine's core count for interpreting the scaling curve; the
-        *_workers_batched curves drive the same cores through the PR-6
-        batched dispatch (HandleAsBatch/HandleTgsBatch via RunKdcLoadBatched)
+        machine's core count for interpreting the scaling curve
     chaos: goodput percentage (exchanges that returned the honest payload)
         per injected fault rate, V4 and V5, under the B12 chaos study —
         the robustness trajectory of the retry/failover stack
@@ -203,7 +201,7 @@ def main():
                            "|BM_ParallelCrackSweep", args.min_time, runs=5)
     b11 = run_bench_best_of(os.path.join(bench_dir, "bench_b11_kdcparallel"),
                             "BM_KdcAsBare|BM_KdcAsPreauth|BM_KdcTgs$"
-                            "|BM_KdcParallel(As|Tgs)(Batched)?/",
+                            "|BM_KdcParallel(As|Tgs)/",
                             args.min_time)
     b12 = run_bench(os.path.join(bench_dir, "bench_b12_chaos"),
                     "BM_ChaosGoodput(4|5)/", args.min_time or "0.01")
@@ -248,16 +246,6 @@ def main():
             },
             "tgs_workers": {
                 str(n): metric(b11, f"BM_KdcParallelTgs/{n}/real_time",
-                               "items_per_second")
-                for n in (1, 2, 4, 8)
-            },
-            "as_workers_batched": {
-                str(n): metric(b11, f"BM_KdcParallelAsBatched/{n}/real_time",
-                               "items_per_second")
-                for n in (1, 2, 4, 8)
-            },
-            "tgs_workers_batched": {
-                str(n): metric(b11, f"BM_KdcParallelTgsBatched/{n}/real_time",
                                "items_per_second")
                 for n in (1, 2, 4, 8)
             },

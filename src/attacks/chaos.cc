@@ -110,7 +110,6 @@ ChaosReport RunChaosStudy4(const ChaosConfig& config) {
   tb.client_retry = config.retry;
   tb.kdc_reply_cache_window = config.kdc_reply_cache_window;
   tb.server_replay_cache = config.server_replay_cache;
-  tb.kdc_serve_batched = config.batched;
   Testbed4 bed(tb);
 
   ChaosReport report;
@@ -145,7 +144,6 @@ ChaosReport RunChaosStudy5(const ChaosConfig& config) {
   tb.client_retry = config.retry;
   tb.kdc_policy.reply_cache_window = config.kdc_reply_cache_window;
   tb.kdc_policy.require_preauth = config.preauth;
-  tb.kdc_policy.serve_batched = config.batched;
   tb.client_options.use_preauth = config.preauth;
   tb.server_options.replay_cache = config.server_replay_cache;
   Testbed5 bed(tb);

@@ -49,10 +49,6 @@ struct ChaosConfig {
   ksim::Duration kdc_reply_cache_window = 30 * ksim::kSecond;
   bool server_replay_cache = true;  // authenticator replay detection stays on
   bool preauth = false;             // V5 only: hardened AS exchange
-  // Routes the KDCs through the batched dispatch entry points (n=1
-  // batches). The chaos tests pin batched and sequential serving to
-  // identical reports — same verdicts, same digests.
-  bool batched = false;
 };
 
 struct ChaosReport {

@@ -23,17 +23,6 @@ unsigned KdcWorkerThreads() {
   return hw == 0 ? 1 : hw;
 }
 
-size_t KdcBatchSize() {
-  constexpr long kMaxBatch = 256;
-  if (const char* env = std::getenv("KERB_KDC_BATCH")) {
-    long v = std::strtol(env, nullptr, 10);
-    if (v >= 1) {
-      return static_cast<size_t>(std::min(v, kMaxBatch));
-    }
-  }
-  return 16;
-}
-
 KdcLoadResult RunKdcLoad(const KdcHandler& handler, const ksim::Message& request,
                          unsigned threads, uint64_t requests_per_worker, uint64_t seed) {
   if (threads == 0) {
@@ -59,62 +48,6 @@ KdcLoadResult RunKdcLoad(const KdcHandler& handler, const ksim::Message& request
       } else {
         ++local_failed;
       }
-    }
-    ok.fetch_add(local_ok, std::memory_order_relaxed);
-    failed.fetch_add(local_failed, std::memory_order_relaxed);
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(threads - 1);
-  for (unsigned t = 1; t < threads; ++t) {
-    pool.emplace_back(worker, t);
-  }
-  worker(0);
-  for (auto& th : pool) {
-    th.join();
-  }
-  return KdcLoadResult{ok.load(), failed.load()};
-}
-
-KdcLoadResult RunKdcLoadBatched(const KdcBatchHandler& handler, const ksim::Message& request,
-                                unsigned threads, uint64_t requests_per_worker, uint64_t seed,
-                                size_t batch) {
-  if (threads == 0) {
-    threads = 1;
-  }
-  if (batch == 0) {
-    batch = KdcBatchSize();
-  }
-  kcrypto::Prng master(seed);
-  std::vector<krb4::KdcContext> contexts;
-  contexts.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) {
-    contexts.emplace_back(master.Fork());
-  }
-
-  std::atomic<uint64_t> ok{0};
-  std::atomic<uint64_t> failed{0};
-  auto worker = [&](unsigned t) {
-    // The pending queue is all copies of one request here, so a dispatch is
-    // a window into one reusable array; the reply vector is reused across
-    // dispatches (cleared, capacity kept).
-    std::vector<ksim::Message> pending(std::min<uint64_t>(batch, requests_per_worker), request);
-    std::vector<kerb::Result<kerb::Bytes>> replies;
-    uint64_t local_ok = 0;
-    uint64_t local_failed = 0;
-    for (uint64_t done = 0; done < requests_per_worker;) {
-      const size_t take =
-          static_cast<size_t>(std::min<uint64_t>(batch, requests_per_worker - done));
-      replies.clear();
-      handler(pending.data(), take, contexts[t], replies);
-      for (const auto& reply : replies) {
-        if (reply.ok()) {
-          ++local_ok;
-        } else {
-          ++local_failed;
-        }
-      }
-      done += take;
     }
     ok.fetch_add(local_ok, std::memory_order_relaxed);
     failed.fetch_add(local_failed, std::memory_order_relaxed);

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "src/krb4/kdccore.h"
 #include "src/sim/network.h"
@@ -24,10 +23,6 @@ namespace kattack {
 // KERB_KDC_THREADS (≥ 1, capped at 256) when set, else hardware
 // concurrency.
 unsigned KdcWorkerThreads();
-
-// Requests drained per batched dispatch: KERB_KDC_BATCH (≥ 1, capped at
-// 256) when set, else 16.
-size_t KdcBatchSize();
 
 struct KdcLoadResult {
   uint64_t requests_ok = 0;
@@ -42,21 +37,6 @@ using KdcHandler =
 // deterministically from `seed`. Returns aggregate accept/fail counts.
 KdcLoadResult RunKdcLoad(const KdcHandler& handler, const ksim::Message& request,
                          unsigned threads, uint64_t requests_per_worker, uint64_t seed);
-
-// A batch handler serves msgs[0..n) through one context and appends one
-// reply per message (KdcCore4/5::HandleAsBatch and friends fit directly).
-using KdcBatchHandler = std::function<void(const ksim::Message* msgs, size_t n,
-                                           krb4::KdcContext& ctx,
-                                           std::vector<kerb::Result<kerb::Bytes>>& replies)>;
-
-// As RunKdcLoad, but each worker drains its queue in dispatches of up to
-// `batch` requests (0 = KdcBatchSize()), handing every dispatch to the
-// batch handler in one call — the amortized serving path. Contexts fork
-// from `seed` exactly as in RunKdcLoad, so a batch handler that preserves
-// the sequential reply stream makes the two harnesses byte-equivalent.
-KdcLoadResult RunKdcLoadBatched(const KdcBatchHandler& handler, const ksim::Message& request,
-                                unsigned threads, uint64_t requests_per_worker, uint64_t seed,
-                                size_t batch = 0);
 
 // ---------------------------------------------------------------------------
 // Bulk public-key preauthenticated logins (V4 shape).

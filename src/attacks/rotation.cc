@@ -112,7 +112,6 @@ RotationReport RunRotationStudy(const RotationConfig& config) {
   tb.kdc_reply_cache_window = config.kdc_reply_cache_window;
   tb.server_replay_cache = true;
   tb.enable_kadmin = true;
-  tb.kdc_serve_batched = config.batched;
   tb.extra_users = 1;  // user0: the fresh-session workload
   Testbed4 bed(tb);
 

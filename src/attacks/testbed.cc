@@ -55,7 +55,6 @@ Testbed4::Testbed4(TestbedConfig config) : config_(config) {
 
   krb4::KdcOptions kdc_options;
   kdc_options.reply_cache_window = config.kdc_reply_cache_window;
-  kdc_options.serve_batched = config.kdc_serve_batched;
   // With zero slaves the replica set passes its PRNG fork straight through
   // to the primary, so default-config reply bytes stay pinned
   // (tests/integration/kdc_capture_test.cc).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 
 #include "src/krb4/client.h"
 #include "src/krb5/client.h"
@@ -24,7 +25,11 @@ kcrypto::Prng KeyStream(uint64_t seed, uint64_t domain, uint64_t index) {
 // --- Population -------------------------------------------------------------
 
 krb4::Principal Population::UserPrincipal(size_t i) const {
-  return krb4::Principal::User("u" + std::to_string(i), config_.realm);
+  // Appended rather than `"u" + std::to_string(i)`: GCC 12 at -O3 misreads
+  // the prepend's memmove as overlapping (-Wrestrict/-Wstringop-overread).
+  std::string name = "u";
+  name += std::to_string(i);
+  return krb4::Principal::User(std::move(name), config_.realm);
 }
 
 krb4::Principal Population::ServicePrincipal(size_t j) const {

@@ -11,26 +11,8 @@ Kdc4::Kdc4(ksim::Network* net, const ksim::NetAddress& as_addr, const ksim::NetA
       tgs_addr_(tgs_addr),
       core_(clock, std::move(realm), std::move(db), options),
       ctx_(prng) {
-  if (options.serve_batched) {
-    // Single-request batches: the sim delivers one message at a time, but
-    // every request still flows through the batched three-phase dispatch.
-    net->Bind(as_addr_, [this](const ksim::Message& msg) { return BatchOne(false, msg); });
-    net->Bind(tgs_addr_, [this](const ksim::Message& msg) { return BatchOne(true, msg); });
-  } else {
-    net->Bind(as_addr_, [this](const ksim::Message& msg) { return core_.HandleAs(msg, ctx_); });
-    net->Bind(tgs_addr_,
-              [this](const ksim::Message& msg) { return core_.HandleTgs(msg, ctx_); });
-  }
-}
-
-kerb::Result<kerb::Bytes> Kdc4::BatchOne(bool tgs, const ksim::Message& msg) {
-  std::vector<kerb::Result<kerb::Bytes>> replies;
-  if (tgs) {
-    core_.HandleTgsBatch(&msg, 1, ctx_, replies);
-  } else {
-    core_.HandleAsBatch(&msg, 1, ctx_, replies);
-  }
-  return std::move(replies.front());
+  net->Bind(as_addr_, [this](const ksim::Message& msg) { return core_.HandleAs(msg, ctx_); });
+  net->Bind(tgs_addr_, [this](const ksim::Message& msg) { return core_.HandleTgs(msg, ctx_); });
 }
 
 }  // namespace krb4

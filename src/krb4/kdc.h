@@ -44,8 +44,6 @@ class Kdc4 {
   uint64_t tgs_requests_served() const { return core_.tgs_requests_served(); }
 
  private:
-  kerb::Result<kerb::Bytes> BatchOne(bool tgs, const ksim::Message& msg);
-
   ksim::NetAddress as_addr_;
   ksim::NetAddress tgs_addr_;
   KdcCore4 core_;

@@ -2,100 +2,50 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <optional>
 #include <utility>
 
 #include "src/crypto/checksum.h"
 #include "src/encoding/io.h"
-#include "src/obs/kobs.h"
 
 namespace krb4 {
 
 KdcCore4::KdcCore4(ksim::HostClock clock, std::string realm, KdcDatabase db, KdcOptions options)
-    : clock_(clock),
-      realm_(std::move(realm)),
-      tgs_principal_(TgsPrincipal(realm_)),
-      db_(std::move(db)),
-      options_(options) {}
-
-kerb::Result<kcrypto::DesKey> KdcCore4::CachedLookup(const Principal& principal,
-                                                     KdcContext& ctx) const {
-  const uint64_t hash = PrincipalStore::Hash(principal);
-  const uint64_t generation = db_.generation();
-  kcrypto::DesKey key;
-  if (ctx.keys.Get(generation, hash, principal, &key)) {
-    if (kobs::Enabled()) {
-      kobs::Emit(kobs::kSrcKdc4, kobs::Ev::kKdcKeyCacheHit, clock_.Now(), hash);
-    }
-    return key;
-  }
-  if (kobs::Enabled()) {
-    kobs::Emit(kobs::kSrcKdc4, kobs::Ev::kKdcKeyCacheMiss, clock_.Now(), hash);
-  }
-  auto looked_up = db_.Lookup(principal);
-  if (looked_up.ok()) {
-    ctx.keys.Put(generation, hash, principal, looked_up.value());
-  }
-  return looked_up;
-}
-
-const kerb::Bytes* KdcCore4::CachedReply(const ksim::Message& msg, KdcContext& ctx) {
-  if (options_.reply_cache_window <= 0) {
-    return nullptr;
-  }
-  const kerb::Bytes* cached =
-      ctx.replies.Get(msg.src, msg.payload, clock_.Now(), options_.reply_cache_window);
-  if (cached != nullptr) {
-    reply_cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    if (kobs::Enabled()) {
-      kobs::Emit(kobs::kSrcKdc4, kobs::Ev::kKdcReplyCacheHit, clock_.Now(), msg.src.host,
-                 cached->size());
-    }
-  }
-  return cached;
-}
-
-kerb::Bytes KdcCore4::RememberReply(const ksim::Message& msg, const kerb::Bytes& reply,
-                                    KdcContext& ctx) {
-  if (options_.reply_cache_window > 0) {
-    ctx.replies.Put(msg.src, msg.payload, reply, clock_.Now());
-    if (kobs::Enabled()) {
-      kobs::Emit(kobs::kSrcKdc4, kobs::Ev::kKdcReplyCacheStore, clock_.Now(), msg.src.host,
-                 reply.size());
-    }
-  }
-  return reply;
-}
+    : KdcShell(kobs::kSrcKdc4, clock, std::move(realm), std::move(db)), options_(options) {}
 
 kerb::Result<kerb::Bytes> KdcCore4::HandleAs(const ksim::Message& msg, KdcContext& ctx) {
-  return kobs::Enabled() ? TracedHandle(false, msg, ctx) : DoHandleAs(msg, ctx);
+  return Handle(false, msg, ctx, options_.reply_cache_window,
+                [this](const ksim::Message& m, KdcContext& c) { return ServeAs(m, c); });
 }
 
 kerb::Result<kerb::Bytes> KdcCore4::HandleTgs(const ksim::Message& msg, KdcContext& ctx) {
-  return kobs::Enabled() ? TracedHandle(true, msg, ctx) : DoHandleTgs(msg, ctx);
+  return Handle(true, msg, ctx, options_.reply_cache_window,
+                [this](const ksim::Message& m, KdcContext& c) { return ServeTgs(m, c); });
 }
 
-kerb::Result<kerb::Bytes> KdcCore4::TracedHandle(bool tgs, const ksim::Message& msg,
-                                                 KdcContext& ctx) {
-  const uint64_t exchange = tgs ? 1 : 0;
-  kobs::Emit(kobs::kSrcKdc4, tgs ? kobs::Ev::kKdcTgsRequest : kobs::Ev::kKdcAsRequest,
-             clock_.Now(), msg.src.host, msg.payload.size());
-  kerb::Result<kerb::Bytes> reply = tgs ? DoHandleTgs(msg, ctx) : DoHandleAs(msg, ctx);
-  if (reply.ok()) {
-    kobs::Emit(kobs::kSrcKdc4, kobs::Ev::kKdcIssue, clock_.Now(), exchange,
-               reply.value().size());
-  } else {
-    kobs::Emit(kobs::kSrcKdc4, kobs::Ev::kKdcDeny, clock_.Now(), exchange,
-               static_cast<uint64_t>(reply.error().code));
-  }
-  return reply;
+void KdcCore4::IssueTicket(const Principal& service, const Principal& client,
+                           uint32_t client_addr, ksim::Duration lifetime,
+                           const kcrypto::DesKey& ticket_key, ksim::Time now, KdcContext& ctx) {
+  kcrypto::DesKey session_key = ctx.prng.NextDesKey();
+  Ticket4 ticket;
+  ticket.service = service;
+  ticket.client = client;
+  ticket.client_addr = client_addr;
+  ticket.issued_at = now;
+  ticket.lifetime = lifetime;
+  ticket.session_key = session_key.bytes();
+
+  // The reply is {K_session, {T}K_ticket, times}, assembled through the
+  // context's scratch buffers instead of AsReplyBody4 temporaries.
+  kenc::Writer ticket_writer(&ctx.scratch.ticket_plain);
+  ticket.AppendTo(ticket_writer);
+  ctx.scratch.ticket_sealed.clear();
+  Seal4Into(ticket_key, ctx.scratch.ticket_plain, ctx.scratch.ticket_sealed);
+
+  kenc::Writer body_writer(&ctx.scratch.body_plain);
+  AppendReplyBody4(body_writer, session_key.bytes(), ctx.scratch.ticket_sealed, now, lifetime);
 }
 
-kerb::Result<kerb::Bytes> KdcCore4::DoHandleAs(const ksim::Message& msg, KdcContext& ctx) {
-  as_requests_.fetch_add(1, std::memory_order_relaxed);
-  if (const kerb::Bytes* cached = CachedReply(msg, ctx)) {
-    return *cached;
-  }
+kerb::Result<kerb::Bytes> KdcCore4::ServeAs(const ksim::Message& msg, KdcContext& ctx) {
   auto framed = Unframe4(msg.payload);
   if (framed.ok() && framed.value().first == MsgType::kAsPkRequest) {
     auto pk_req = AsPkRequest4::Decode(framed.value().second);
@@ -107,15 +57,12 @@ kerb::Result<kerb::Bytes> KdcCore4::DoHandleAs(const ksim::Message& msg, KdcCont
   if (!framed.ok() || framed.value().first != MsgType::kAsRequest) {
     return kerb::MakeError(kerb::ErrorCode::kBadFormat, "expected AS request");
   }
-  auto req = AsRequest4::Decode(framed.value().second);
-  if (!req.ok()) {
-    return req.error();
+  auto decoded = AsRequest4::Decode(framed.value().second);
+  if (!decoded.ok()) {
+    return decoded.error();
   }
-  return ServeAs(msg, req.value(), ctx);
-}
+  const AsRequest4& req = decoded.value();
 
-kerb::Result<kerb::Bytes> KdcCore4::ServeAs(const ksim::Message& msg, const AsRequest4& req,
-                                            KdcContext& ctx) {
   // V4: no preauthentication. Whoever asked, for whatever principal,
   // receives a reply encrypted in that principal's key.
   auto client_key = CachedLookup(req.client, ctx);
@@ -131,46 +78,22 @@ kerb::Result<kerb::Bytes> KdcCore4::ServeAs(const ksim::Message& msg, const AsRe
   // V4 quantization: the grant is whatever fits a one-byte 5-minute count.
   ksim::Duration lifetime = V4UnitsToLifetime(
       LifetimeToV4Units(std::min(req.lifetime, options_.max_ticket_lifetime)));
-
-  kcrypto::DesKey session_key = ctx.prng.NextDesKey();
-  Ticket4 tgt;
-  tgt.service = tgs_principal_;
-  tgt.client = req.client;
-  tgt.client_addr = msg.src.host;  // trusts the claimed source address
-  tgt.issued_at = now;
-  tgt.lifetime = lifetime;
-  tgt.session_key = session_key.bytes();
-
-  // The reply is {K_c,tgs, {T_c,tgs}K_tgs, times}K_c, assembled through the
-  // context's scratch buffers instead of AsReplyBody4 temporaries.
-  kenc::Writer ticket_writer(&ctx.scratch.ticket_plain);
-  tgt.AppendTo(ticket_writer);
-  ctx.scratch.ticket_sealed.clear();
-  Seal4Into(tgs_key.value(), ctx.scratch.ticket_plain, ctx.scratch.ticket_sealed);
-
-  kenc::Writer body_writer(&ctx.scratch.body_plain);
-  AppendReplyBody4(body_writer, session_key.bytes(), ctx.scratch.ticket_sealed, now, lifetime);
-
+  // The TGT trusts the claimed source address.
+  IssueTicket(tgs_principal_, req.client, msg.src.host, lifetime, tgs_key.value(), now, ctx);
   SealedFrame4Into(MsgType::kAsReply, client_key.value(), ctx.scratch.body_plain,
                    ctx.scratch.reply);
-  return RememberReply(msg, ctx.scratch.reply, ctx);
-}
-
-void KdcCore4::EnablePkPreauth(kcrypto::DhGroup group) {
-  kcrypto::EnsureEngine(group);
-  pk_group_ = std::move(group);
+  return ctx.scratch.reply;
 }
 
 kerb::Result<kerb::Bytes> KdcCore4::ServeAsPk(const ksim::Message& msg, const AsPkRequest4& req,
                                               KdcContext& ctx) {
-  if (!pk_group_.has_value()) {
+  const kcrypto::DhGroup* group = AdmitPkRequest();
+  if (group == nullptr) {
     return kerb::MakeError(kerb::ErrorCode::kUnsupported, "PK preauth not enabled");
   }
-  pk_as_requests_.fetch_add(1, std::memory_order_relaxed);
-  const kcrypto::DhGroup& group = *pk_group_;
   kcrypto::BigInt client_pub = kcrypto::BigInt::FromBytes(req.client_pub);
   // Fail closed on degenerate publics before any exponent touches them.
-  if (auto valid = kcrypto::ValidateDhPublic(group, client_pub); !valid.ok()) {
+  if (auto valid = kcrypto::ValidateDhPublic(*group, client_pub); !valid.ok()) {
     return valid.error();
   }
   auto client_key = CachedLookup(req.client, ctx);
@@ -212,29 +135,13 @@ kerb::Result<kerb::Bytes> KdcCore4::ServeAsPk(const ksim::Message& msg, const As
 
   // Our half of the exchange: g^b by the group's fixed-base comb table, the
   // shared secret by the cached sliding-window context.
-  kcrypto::DhKeyPair server_pair = kcrypto::DhGenerate(group, ctx.prng);
+  kcrypto::DhKeyPair server_pair = kcrypto::DhGenerate(*group, ctx.prng);
   kcrypto::DesKey dh_key = kcrypto::DhDeriveKey(
-      kcrypto::DhSharedSecret(group, server_pair.private_key, client_pub));
+      kcrypto::DhSharedSecret(*group, server_pair.private_key, client_pub));
 
   ksim::Duration lifetime = V4UnitsToLifetime(
       LifetimeToV4Units(std::min(req.lifetime, options_.max_ticket_lifetime)));
-
-  kcrypto::DesKey session_key = ctx.prng.NextDesKey();
-  Ticket4 tgt;
-  tgt.service = tgs_principal_;
-  tgt.client = req.client;
-  tgt.client_addr = msg.src.host;
-  tgt.issued_at = now;
-  tgt.lifetime = lifetime;
-  tgt.session_key = session_key.bytes();
-
-  kenc::Writer ticket_writer(&ctx.scratch.ticket_plain);
-  tgt.AppendTo(ticket_writer);
-  ctx.scratch.ticket_sealed.clear();
-  Seal4Into(tgs_key.value(), ctx.scratch.ticket_plain, ctx.scratch.ticket_sealed);
-
-  kenc::Writer body_writer(&ctx.scratch.body_plain);
-  AppendReplyBody4(body_writer, session_key.bytes(), ctx.scratch.ticket_sealed, now, lifetime);
+  IssueTicket(tgs_principal_, req.client, msg.src.host, lifetime, tgs_key.value(), now, ctx);
 
   // Inner layer {body}K_c, then the DH layer over the inner ciphertext —
   // the password-keyed blob never appears bare on the wire.
@@ -248,80 +155,32 @@ kerb::Result<kerb::Bytes> KdcCore4::ServeAsPk(const ksim::Message& msg, const As
   w.PutU8(static_cast<uint8_t>(MsgType::kAsPkReply));
   w.PutLengthPrefixed(server_pair.public_key.ToBytes());
   w.PutLengthPrefixed(ctx.scratch.pk_outer);
-  return RememberReply(msg, ctx.scratch.reply, ctx);
+  return ctx.scratch.reply;
 }
 
-kerb::Result<kerb::Bytes> KdcCore4::DoHandleTgs(const ksim::Message& msg, KdcContext& ctx) {
-  tgs_requests_.fetch_add(1, std::memory_order_relaxed);
-  if (const kerb::Bytes* cached = CachedReply(msg, ctx)) {
-    return *cached;
-  }
+kerb::Result<kerb::Bytes> KdcCore4::ServeTgs(const ksim::Message& msg, KdcContext& ctx) {
   auto framed = Unframe4(msg.payload);
   if (!framed.ok() || framed.value().first != MsgType::kTgsRequest) {
     return kerb::MakeError(kerb::ErrorCode::kBadFormat, "expected TGS request");
   }
-  auto req = TgsRequest4::Decode(framed.value().second);
-  if (!req.ok()) {
-    return req.error();
+  auto decoded = TgsRequest4::Decode(framed.value().second);
+  if (!decoded.ok()) {
+    return decoded.error();
   }
-  return ServeTgs(msg, req.value(), ctx);
-}
+  const TgsRequest4& req = decoded.value();
 
-kerb::Result<kerb::Bytes> KdcCore4::ServeTgs(const ksim::Message& msg, const TgsRequest4& req,
-                                             KdcContext& ctx) {
   auto tgs_key = CachedLookup(tgs_principal_, ctx);
   if (!tgs_key.ok()) {
     return tgs_key.error();
   }
-  // The same sealed TGT arrives on every request of a client's session, so
-  // the decoded ticket is memoised per context (expiry is still checked
-  // against `now` on every request, below).
   constexpr uint32_t kMemoTgt4 = 0x7467'3404;
-  const Ticket4* tgt =
-      ctx.unseals.Get<Ticket4>(kMemoTgt4, tgs_key.value(), req.sealed_tgt);
-  if (kobs::Enabled()) {
-    kobs::Emit(kobs::kSrcKdc4,
-               tgt != nullptr ? kobs::Ev::kKdcUnsealMemoHit : kobs::Ev::kKdcUnsealMemoMiss,
-               clock_.Now(), req.sealed_tgt.size());
+  const Ticket4* tgt = UnsealTgt<Ticket4>(
+      kMemoTgt4, tgs_key.value(), req.sealed_tgt, /*kvno_fallback=*/true, ctx,
+      [&req](const kcrypto::DesKey& key) { return Ticket4::Unseal(key, req.sealed_tgt); });
+  if (tgt == nullptr) {
+    return kerb::MakeError(kerb::ErrorCode::kAuthFailed, "ticket-granting ticket invalid");
   }
   ksim::Time now = clock_.Now();
-  if (tgt == nullptr) {
-    auto unsealed = Ticket4::Unseal(tgs_key.value(), req.sealed_tgt);
-    if (unsealed.ok()) {
-      tgt = ctx.unseals.Put(kMemoTgt4, tgs_key.value(), req.sealed_tgt,
-                            std::move(unsealed.value()));
-    } else {
-      // kvno fallback: a TGT sealed before a TGS key rotation keeps
-      // verifying under the retained older ring versions until its natural
-      // expiry (the rotation drain window). Each candidate key gets its own
-      // memo slot — the memo is keyed by key bytes, so entries cached under
-      // an old version keep hitting after the current version moves on.
-      PrincipalEntry tgs_entry;
-      if (db_.store().LookupEntry(tgs_principal_, &tgs_entry)) {
-        for (size_t i = 1; i < tgs_entry.keys.size() && tgt == nullptr; ++i) {
-          const KeyVersion& kv = tgs_entry.keys[i];
-          if (kv.not_after != 0 && now > kv.not_after) {
-            continue;
-          }
-          tgt = ctx.unseals.Get<Ticket4>(kMemoTgt4, kv.key, req.sealed_tgt);
-          if (tgt == nullptr) {
-            auto old_unsealed = Ticket4::Unseal(kv.key, req.sealed_tgt);
-            if (old_unsealed.ok()) {
-              tgt = ctx.unseals.Put(kMemoTgt4, kv.key, req.sealed_tgt,
-                                    std::move(old_unsealed.value()));
-            }
-          }
-          if (tgt != nullptr && kobs::Enabled()) {
-            kobs::Emit(kobs::kSrcKdc4, kobs::Ev::kKvnoOldKeyAccept, now, kv.kvno, i);
-          }
-        }
-      }
-    }
-    if (tgt == nullptr) {
-      return kerb::MakeError(kerb::ErrorCode::kAuthFailed, "ticket-granting ticket invalid");
-    }
-  }
-
   if (tgt->Expired(now)) {
     return kerb::MakeError(kerb::ErrorCode::kExpired, "ticket-granting ticket expired");
   }
@@ -358,165 +217,10 @@ kerb::Result<kerb::Bytes> KdcCore4::ServeTgs(const ksim::Message& msg, const Tgs
   ksim::Duration requested =
       std::min({req.lifetime, options_.max_ticket_lifetime, tgt_remaining});
   ksim::Duration lifetime = (requested / kV4LifetimeUnit) * kV4LifetimeUnit;
-  kcrypto::DesKey session_key = ctx.prng.NextDesKey();
-
-  Ticket4 ticket;
-  ticket.service = req.service;
-  ticket.client = tgt->client;
-  ticket.client_addr = tgt->client_addr;
-  ticket.issued_at = now;
-  ticket.lifetime = lifetime;
-  ticket.session_key = session_key.bytes();
-
-  kenc::Writer ticket_writer(&ctx.scratch.ticket_plain);
-  ticket.AppendTo(ticket_writer);
-  ctx.scratch.ticket_sealed.clear();
-  Seal4Into(service_key.value(), ctx.scratch.ticket_plain, ctx.scratch.ticket_sealed);
-
-  kenc::Writer body_writer(&ctx.scratch.body_plain);
-  AppendReplyBody4(body_writer, session_key.bytes(), ctx.scratch.ticket_sealed, now, lifetime);
-
+  IssueTicket(req.service, tgt->client, tgt->client_addr, lifetime, service_key.value(), now,
+              ctx);
   SealedFrame4Into(MsgType::kTgsReply, tgs_session, ctx.scratch.body_plain, ctx.scratch.reply);
-  return RememberReply(msg, ctx.scratch.reply, ctx);
-}
-
-void KdcCore4::WarmKeyCache(const std::vector<const Principal*>& principals,
-                            KdcContext& ctx) const {
-  const uint64_t generation = db_.generation();
-  std::vector<PrincipalStore::LookupRequest> misses;
-  misses.reserve(principals.size());
-  kcrypto::DesKey cached;
-  for (const Principal* p : principals) {
-    const uint64_t hash = PrincipalStore::Hash(*p);
-    if (ctx.keys.Get(generation, hash, *p, &cached)) {
-      continue;  // already warm from an earlier batch
-    }
-    bool queued = false;
-    for (const auto& m : misses) {
-      if (m.hash == hash && *m.principal == *p) {
-        queued = true;
-        break;
-      }
-    }
-    if (!queued) {
-      PrincipalStore::LookupRequest req;
-      req.principal = p;
-      req.hash = hash;
-      misses.push_back(req);
-    }
-  }
-  if (misses.empty()) {
-    return;
-  }
-  db_.store().LookupMany(misses.data(), misses.size());
-  for (const auto& m : misses) {
-    if (m.found) {
-      ctx.keys.Put(generation, m.hash, *m.principal, m.key);
-    }
-  }
-}
-
-void KdcCore4::HandleAsBatch(const ksim::Message* msgs, size_t n, KdcContext& ctx,
-                             std::vector<kerb::Result<kerb::Bytes>>& replies) {
-  replies.reserve(replies.size() + n);
-  if (kobs::Enabled()) {
-    // Sequential fallback keeps the per-request trace event order intact.
-    for (size_t i = 0; i < n; ++i) {
-      replies.push_back(HandleAs(msgs[i], ctx));
-    }
-    return;
-  }
-  // Phase 1: decode every request. Decoding is pure, so hoisting it off the
-  // serve path changes no reply bytes. PK-preauth requests ride in the same
-  // batch (a parallel slot engages for them) so the batched path reaches
-  // every verdict the sequential path does.
-  std::vector<kerb::Result<AsRequest4>> decoded;
-  std::vector<std::optional<kerb::Result<AsPkRequest4>>> pk;
-  decoded.reserve(n);
-  pk.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    auto framed = Unframe4(msgs[i].payload);
-    if (framed.ok() && framed.value().first == MsgType::kAsPkRequest) {
-      pk[i] = AsPkRequest4::Decode(framed.value().second);
-      decoded.push_back(kerb::MakeError(kerb::ErrorCode::kBadFormat, "pk slot"));
-      continue;
-    }
-    if (!framed.ok() || framed.value().first != MsgType::kAsRequest) {
-      decoded.push_back(kerb::MakeError(kerb::ErrorCode::kBadFormat, "expected AS request"));
-      continue;
-    }
-    decoded.push_back(AsRequest4::Decode(framed.value().second));
-  }
-  // Phase 2: resolve the batch's principals (every client plus the TGS key
-  // that seals each TGT) with at most one shard-lock acquisition per shard.
-  std::vector<const Principal*> wanted;
-  wanted.reserve(n + 1);
-  wanted.push_back(&tgs_principal_);
-  for (size_t i = 0; i < n; ++i) {
-    if (pk[i].has_value()) {
-      if (pk[i]->ok()) {
-        wanted.push_back(&pk[i]->value().client);
-      }
-    } else if (decoded[i].ok()) {
-      wanted.push_back(&decoded[i].value().client);
-    }
-  }
-  WarmKeyCache(wanted, ctx);
-  // Phase 3: serve strictly in request order — the PRNG stream and the
-  // reply cache observe the exact one-at-a-time history.
-  for (size_t i = 0; i < n; ++i) {
-    as_requests_.fetch_add(1, std::memory_order_relaxed);
-    if (const kerb::Bytes* cached = CachedReply(msgs[i], ctx)) {
-      replies.push_back(*cached);
-    } else if (pk[i].has_value()) {
-      replies.push_back(pk[i]->ok() ? ServeAsPk(msgs[i], pk[i]->value(), ctx)
-                                    : kerb::Result<kerb::Bytes>(pk[i]->error()));
-    } else if (!decoded[i].ok()) {
-      replies.push_back(decoded[i].error());
-    } else {
-      replies.push_back(ServeAs(msgs[i], decoded[i].value(), ctx));
-    }
-  }
-}
-
-void KdcCore4::HandleTgsBatch(const ksim::Message* msgs, size_t n, KdcContext& ctx,
-                              std::vector<kerb::Result<kerb::Bytes>>& replies) {
-  replies.reserve(replies.size() + n);
-  if (kobs::Enabled()) {
-    for (size_t i = 0; i < n; ++i) {
-      replies.push_back(HandleTgs(msgs[i], ctx));
-    }
-    return;
-  }
-  std::vector<kerb::Result<TgsRequest4>> decoded;
-  decoded.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    auto framed = Unframe4(msgs[i].payload);
-    if (!framed.ok() || framed.value().first != MsgType::kTgsRequest) {
-      decoded.push_back(kerb::MakeError(kerb::ErrorCode::kBadFormat, "expected TGS request"));
-      continue;
-    }
-    decoded.push_back(TgsRequest4::Decode(framed.value().second));
-  }
-  std::vector<const Principal*> wanted;
-  wanted.reserve(n + 1);
-  wanted.push_back(&tgs_principal_);
-  for (const auto& d : decoded) {
-    if (d.ok()) {
-      wanted.push_back(&d.value().service);
-    }
-  }
-  WarmKeyCache(wanted, ctx);
-  for (size_t i = 0; i < n; ++i) {
-    tgs_requests_.fetch_add(1, std::memory_order_relaxed);
-    if (const kerb::Bytes* cached = CachedReply(msgs[i], ctx)) {
-      replies.push_back(*cached);
-    } else if (!decoded[i].ok()) {
-      replies.push_back(decoded[i].error());
-    } else {
-      replies.push_back(ServeTgs(msgs[i], decoded[i].value(), ctx));
-    }
-  }
+  return ctx.scratch.reply;
 }
 
 }  // namespace krb4

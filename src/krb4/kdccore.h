@@ -9,27 +9,17 @@
 //   * the parallel bench harness (src/attacks/kdcload.h) drives it with a
 //     KERB_KDC_THREADS worker pool, one KdcContext per worker.
 //
-// The core itself holds only state that is safe to share: the sharded
-// principal store (reader-locked) and atomic request counters. Everything
-// per-request — the PRNG stream, the derived-key cache, the encode scratch
-// buffers — lives in the caller-owned KdcContext, so handlers never contend
-// on anything but the store's shard locks.
+// The serving shell around the exchanges — counters, key and reply caches,
+// trace events, PK enablement — is KdcShell (src/krb4/kdcshell.h), shared
+// with the V5 core.
 
 #ifndef SRC_KRB4_KDCCORE_H_
 #define SRC_KRB4_KDCCORE_H_
 
-#include <algorithm>
-#include <any>
-#include <array>
-#include <atomic>
-#include <cstdint>
-#include <optional>
 #include <string>
-#include <vector>
 
-#include "src/crypto/dh.h"
-#include "src/crypto/prng.h"
 #include "src/krb4/database.h"
+#include "src/krb4/kdcshell.h"
 #include "src/krb4/messages.h"
 #include "src/sim/clock.h"
 #include "src/sim/network.h"
@@ -48,274 +38,34 @@ struct KdcOptions {
   // timescales, seconds not minutes) wherever clients retry: the chaos
   // testbeds do.
   ksim::Duration reply_cache_window = 0;
-  // Route the Bind handlers through HandleAsBatch/HandleTgsBatch (with
-  // single-request batches) instead of HandleAs/HandleTgs, so the sim's
-  // one-at-a-time delivery exercises the batched dispatch path. Verdicts
-  // are pinned identical to sequential serving by the chaos tests.
-  bool serve_batched = false;
 };
 
-// Small direct-mapped cache of keys copied out of the principal store,
-// validated against the store's generation counter so post-construction
-// registrations (several attack scenarios add services mid-run) invalidate
-// it automatically. Returns keys by value: a later insert may overwrite any
-// slot, so references into the cache would dangle within one request.
-class KdcKeyCache {
- public:
-  bool Get(uint64_t generation, uint64_t hash, const Principal& principal,
-           kcrypto::DesKey* key_out) const {
-    const Slot& slot = slots_[hash % kSlots];
-    if (slot.used && slot.generation == generation && slot.hash == hash &&
-        slot.principal == principal) {
-      *key_out = slot.key;
-      return true;
-    }
-    return false;
-  }
-
-  void Put(uint64_t generation, uint64_t hash, const Principal& principal,
-           const kcrypto::DesKey& key) {
-    Slot& slot = slots_[hash % kSlots];
-    slot.used = true;
-    slot.generation = generation;
-    slot.hash = hash;
-    slot.principal = principal;
-    slot.key = key;
-  }
-
- private:
-  static constexpr size_t kSlots = 64;
-  struct Slot {
-    uint64_t generation = 0;
-    uint64_t hash = 0;
-    bool used = false;
-    Principal principal;
-    kcrypto::DesKey key;
-  };
-  std::array<Slot, kSlots> slots_;
-};
-
-// Memo of deterministic unseal results, keyed by (tag, sealing key,
-// ciphertext). A KDC sees the same sealed TGT on every ticket-granting
-// request a client makes for the lifetime of its login session; decrypting
-// and decoding it is a pure function of key and ciphertext, so the decoded
-// ticket can be reused instead of re-unsealed. Only constant-per-session
-// blobs belong here — never authenticators or preauth data, which change
-// per request in real traffic. Direct-mapped; the stored ciphertext and key
-// bytes are compared in full on lookup, so a hash collision costs a miss,
-// never a wrong ticket. Failures are not cached (garbage varies).
-class KdcUnsealMemo {
- public:
-  template <typename T>
-  const T* Get(uint32_t tag, const kcrypto::DesKey& key, kerb::BytesView sealed) const {
-    const Entry& entry = entries_[Slot(sealed)];
-    if (!entry.used || entry.tag != tag || entry.key_bytes != key.bytes() ||
-        entry.sealed.size() != sealed.size() ||
-        !std::equal(entry.sealed.begin(), entry.sealed.end(), sealed.begin())) {
-      return nullptr;
-    }
-    return std::any_cast<T>(&entry.value);
-  }
-
-  template <typename T>
-  const T* Put(uint32_t tag, const kcrypto::DesKey& key, kerb::BytesView sealed, T value) {
-    Entry& entry = entries_[Slot(sealed)];
-    entry.used = true;
-    entry.tag = tag;
-    entry.key_bytes = key.bytes();
-    entry.sealed.assign(sealed.begin(), sealed.end());
-    entry.value = std::move(value);
-    return std::any_cast<T>(&entry.value);
-  }
-
- private:
-  static constexpr size_t kSlots = 16;
-
-  static size_t Slot(kerb::BytesView sealed) {
-    uint64_t h = 1469598103934665603ull;
-    for (uint8_t b : sealed) {
-      h = (h ^ b) * 1099511628211ull;
-    }
-    return static_cast<size_t>(h & (kSlots - 1));
-  }
-
-  struct Entry {
-    bool used = false;
-    uint32_t tag = 0;
-    kcrypto::DesBlock key_bytes{};
-    kerb::Bytes sealed;
-    std::any value;
-  };
-  std::array<Entry, kSlots> entries_;
-};
-
-// Retransmit-safe reply memo, keyed by (claimed source, full request
-// bytes). A client that never saw a reply resends the identical packet; a
-// faulty network duplicates packets on its own. Either way the KDC must not
-// issue twice: the duplicate gets the stored reply, byte for byte. Entries
-// expire after a freshness window so the cache answers retransmissions, not
-// history. Direct-mapped with full-bytes compare on lookup — a hash
-// collision evicts, never mis-serves. Per-context like the other memos, so
-// the serving path stays lock-free.
-class KdcReplyCache {
- public:
-  // Returns the cached reply for a fresh duplicate, or nullptr.
-  const kerb::Bytes* Get(const ksim::NetAddress& src, kerb::BytesView request, ksim::Time now,
-                         ksim::Duration window) const {
-    const Entry& entry = entries_[Slot(src, request)];
-    if (!entry.used || entry.src_host != src.host || entry.src_port != src.port ||
-        now - entry.stored_at > window || entry.request.size() != request.size() ||
-        !std::equal(entry.request.begin(), entry.request.end(), request.begin())) {
-      return nullptr;
-    }
-    return &entry.reply;
-  }
-
-  void Put(const ksim::NetAddress& src, kerb::BytesView request, kerb::BytesView reply,
-           ksim::Time now) {
-    Entry& entry = entries_[Slot(src, request)];
-    entry.used = true;
-    entry.src_host = src.host;
-    entry.src_port = src.port;
-    entry.request.assign(request.begin(), request.end());
-    entry.reply.assign(reply.begin(), reply.end());
-    entry.stored_at = now;
-  }
-
- private:
-  static constexpr size_t kSlots = 16;
-
-  static size_t Slot(const ksim::NetAddress& src, kerb::BytesView request) {
-    uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](uint8_t b) { h = (h ^ b) * 1099511628211ull; };
-    for (int i = 0; i < 4; ++i) {
-      mix(static_cast<uint8_t>(src.host >> (8 * i)));
-    }
-    mix(static_cast<uint8_t>(src.port));
-    mix(static_cast<uint8_t>(src.port >> 8));
-    for (uint8_t b : request) {
-      mix(b);
-    }
-    return static_cast<size_t>(h & (kSlots - 1));
-  }
-
-  struct Entry {
-    bool used = false;
-    uint32_t src_host = 0;
-    uint16_t src_port = 0;
-    kerb::Bytes request;
-    kerb::Bytes reply;
-    ksim::Time stored_at = 0;
-  };
-  std::array<Entry, kSlots> entries_;
-};
-
-// Reusable encode buffers. After the first few requests every buffer has
-// its high-water capacity and the encode path stops allocating (the one
-// exception is the reply handed back to the network, which the caller
-// owns).
-struct KdcScratch {
-  kerb::Bytes ticket_plain;
-  kerb::Bytes ticket_sealed;
-  kerb::Bytes body_plain;
-  kerb::Bytes body_sealed;
-  kerb::Bytes pk_outer;  // DH-layer seal of body_sealed in the PK AS path
-  kerb::Bytes reply;
-};
-
-// Everything one serving thread owns exclusively.
-struct KdcContext {
-  explicit KdcContext(kcrypto::Prng context_prng) : prng(context_prng) {}
-
-  kcrypto::Prng prng;
-  KdcKeyCache keys;
-  KdcUnsealMemo unseals;
-  KdcReplyCache replies;
-  KdcScratch scratch;
-};
-
-class KdcCore4 {
+class KdcCore4 : public KdcShell {
  public:
   KdcCore4(ksim::HostClock clock, std::string realm, KdcDatabase db, KdcOptions options);
 
+  // Serves one AS request (password or PK-preauthenticated, kAsPkRequest,
+  // once EnablePkPreauth has run) or one TGS request.
   kerb::Result<kerb::Bytes> HandleAs(const ksim::Message& msg, KdcContext& ctx);
   kerb::Result<kerb::Bytes> HandleTgs(const ksim::Message& msg, KdcContext& ctx);
 
-  // Batched dispatch: serves msgs[0..n) through one context in three
-  // phases — decode every request, resolve the batch's principal keys
-  // through LookupMany (one shard-lock acquisition per shard per batch),
-  // then serve strictly in request order. Replies are appended to
-  // `replies`, byte-identical to calling the one-at-a-time handler on each
-  // message in sequence (pinned by tests/integration/kdc_batch_test.cc):
-  // decoding is pure, key pre-resolution only warms the context's key
-  // cache, and everything ordered — the PRNG stream, the reply cache, the
-  // unseal memo — runs in the serve phase in request order. With tracing
-  // enabled the batch falls back to the sequential handlers so trace
-  // streams keep their per-request event order.
-  void HandleAsBatch(const ksim::Message* msgs, size_t n, KdcContext& ctx,
-                     std::vector<kerb::Result<kerb::Bytes>>& replies);
-  void HandleTgsBatch(const ksim::Message* msgs, size_t n, KdcContext& ctx,
-                      std::vector<kerb::Result<kerb::Bytes>>& replies);
-
-  // Enables the public-key preauthenticated AS variant (MsgType::
-  // kAsPkRequest) over `group`. Builds the group's cached modexp engine —
-  // Montgomery context plus fixed-base g^x comb table — up front, so every
-  // login the core serves afterwards reuses it. Call before serving; the
-  // group is read-only once requests flow.
-  void EnablePkPreauth(kcrypto::DhGroup group);
-  bool pk_preauth_enabled() const { return pk_group_.has_value(); }
-
-  const std::string& realm() const { return realm_; }
-  KdcDatabase& database() { return db_; }
   const KdcOptions& options() const { return options_; }
 
-  uint64_t pk_as_requests_served() const {
-    return pk_as_requests_.load(std::memory_order_relaxed);
-  }
-  uint64_t as_requests_served() const { return as_requests_.load(std::memory_order_relaxed); }
-  uint64_t tgs_requests_served() const { return tgs_requests_.load(std::memory_order_relaxed); }
-  uint64_t reply_cache_hits() const { return reply_cache_hits_.load(std::memory_order_relaxed); }
-
  private:
-  // The protocol logic, unchanged; the public handlers wrap it in request
-  // and issue/deny trace events when a kobs::Trace is installed.
-  kerb::Result<kerb::Bytes> DoHandleAs(const ksim::Message& msg, KdcContext& ctx);
-  kerb::Result<kerb::Bytes> DoHandleTgs(const ksim::Message& msg, KdcContext& ctx);
-  kerb::Result<kerb::Bytes> TracedHandle(bool tgs, const ksim::Message& msg, KdcContext& ctx);
-
-  // Everything after the decode — shared by the one-at-a-time handlers and
-  // the serve phase of the batch path.
-  kerb::Result<kerb::Bytes> ServeAs(const ksim::Message& msg, const AsRequest4& req,
-                                    KdcContext& ctx);
+  kerb::Result<kerb::Bytes> ServeAs(const ksim::Message& msg, KdcContext& ctx);
   kerb::Result<kerb::Bytes> ServeAsPk(const ksim::Message& msg, const AsPkRequest4& req,
                                       KdcContext& ctx);
-  kerb::Result<kerb::Bytes> ServeTgs(const ksim::Message& msg, const TgsRequest4& req,
-                                     KdcContext& ctx);
+  kerb::Result<kerb::Bytes> ServeTgs(const ksim::Message& msg, KdcContext& ctx);
 
-  // Pre-resolves the batch's principals into the context's key cache via
-  // PrincipalStore::LookupMany. Purely a cache warm: serve-phase lookups
-  // observe identical keys either way.
-  void WarmKeyCache(const std::vector<const Principal*>& principals, KdcContext& ctx) const;
+  // The issuing half every exchange shares: mints a session key, seals a
+  // ticket for (`service`, `client`, `client_addr`) under `ticket_key` into
+  // scratch.ticket_sealed, and writes the reply body around it into
+  // scratch.body_plain for the caller to seal.
+  void IssueTicket(const Principal& service, const Principal& client, uint32_t client_addr,
+                   ksim::Duration lifetime, const kcrypto::DesKey& ticket_key, ksim::Time now,
+                   KdcContext& ctx);
 
-  // db_.Lookup through the context's generation-checked key cache.
-  kerb::Result<kcrypto::DesKey> CachedLookup(const Principal& principal, KdcContext& ctx) const;
-  // Serves a fresh duplicate from the context's reply cache, if enabled.
-  const kerb::Bytes* CachedReply(const ksim::Message& msg, KdcContext& ctx);
-  // Remembers a successful reply for retransmission, then returns it.
-  kerb::Bytes RememberReply(const ksim::Message& msg, const kerb::Bytes& reply, KdcContext& ctx);
-
-  ksim::HostClock clock_;
-  std::string realm_;
-  Principal tgs_principal_;
-  KdcDatabase db_;
   KdcOptions options_;
-  // DH group for PK preauth, engine pre-built; immutable while serving, so
-  // worker threads share it without locks.
-  std::optional<kcrypto::DhGroup> pk_group_;
-  std::atomic<uint64_t> pk_as_requests_{0};
-  std::atomic<uint64_t> as_requests_{0};
-  std::atomic<uint64_t> tgs_requests_{0};
-  std::atomic<uint64_t> reply_cache_hits_{0};
 };
 
 }  // namespace krb4

@@ -235,43 +235,6 @@ bool PrincipalStore::Lookup(const Principal& principal, kcrypto::DesKey* key_out
   }
 }
 
-void PrincipalStore::LookupMany(LookupRequest* requests, size_t n) const {
-  // Group by shard: each shard's lock is acquired once and every request
-  // that hashes to it resolves under that single acquisition. Batches are
-  // small (a dispatch's worth), so the per-shard scan over the batch is
-  // cheaper than sorting.
-  for (size_t s = 0; s < kShardCount; ++s) {
-    bool any = false;
-    for (size_t i = 0; i < n && !any; ++i) {
-      any = ShardIndex(requests[i].hash) == s;
-    }
-    if (!any) {
-      continue;
-    }
-    const Shard& shard = shards_[s];
-    std::shared_lock lock(shard.mu);
-    const size_t mask = shard.slots.size() - 1;
-    for (size_t i = 0; i < n; ++i) {
-      LookupRequest& req = requests[i];
-      if (ShardIndex(req.hash) != s) {
-        continue;
-      }
-      req.found = false;
-      for (size_t p = req.hash & mask;; p = (p + 1) & mask) {
-        const Slot& slot = shard.slots[p];
-        if (!slot.used) {
-          break;
-        }
-        if (slot.hash == req.hash && slot.principal == *req.principal) {
-          req.key = slot.entry.keys.front().key;
-          req.found = true;
-          break;
-        }
-      }
-    }
-  }
-}
-
 std::vector<Principal> PrincipalStore::Principals() const {
   std::vector<Principal> out;
   for (size_t s = 0; s < kShardCount; ++s) {

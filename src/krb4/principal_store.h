@@ -102,21 +102,6 @@ class PrincipalStore {
   bool Lookup(const Principal& principal, kcrypto::DesKey* key_out,
               PrincipalKind* kind_out = nullptr) const;
 
-  // One element of a LookupMany batch. `principal` and `hash` are inputs
-  // (hash must be Hash(*principal)); `key` and `found` are outputs.
-  struct LookupRequest {
-    const Principal* principal = nullptr;
-    uint64_t hash = 0;
-    kcrypto::DesKey key;
-    bool found = false;
-  };
-
-  // Resolves a whole batch of lookups, grouping them by shard so each
-  // shard's reader lock is taken at most once per call instead of once per
-  // principal — the lock-amortization path the batched KDC dispatch uses.
-  // Results are identical to calling Lookup() per element. Thread-safe.
-  void LookupMany(LookupRequest* requests, size_t n) const;
-
   bool Contains(const Principal& principal) const { return Lookup(principal, nullptr); }
 
   // Pre-sizes every shard for `expected_entries` total entries so the load

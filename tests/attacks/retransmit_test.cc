@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "src/attacks/testbed.h"
+#include "src/attacks/testbed5.h"
 
 namespace kattack {
 namespace {
@@ -40,11 +41,12 @@ TEST(RetransmitE16Test, DeterministicAcrossSeeds) {
 // The KDC reply cache: identical retransmissions get identical bytes.
 
 // Captures the request bytes of alice's login session and returns them by
-// destination.
-ksim::Message CaptureRequestTo(Testbed4& bed, const ksim::NetAddress& dst) {
+// destination. Works on a Testbed4 or a Testbed5.
+template <typename Testbed>
+ksim::Message CaptureRequestTo(Testbed& bed, const ksim::NetAddress& dst) {
   ksim::RecordingAdversary recorder;
   bed.world().network().SetAdversary(&recorder);
-  EXPECT_TRUE(bed.alice().Login(Testbed4::kAlicePassword).ok());
+  EXPECT_TRUE(bed.alice().Login(Testbed::kAlicePassword).ok());
   EXPECT_TRUE(bed.alice().GetServiceTicket(bed.mail_principal()).ok());
   bed.world().network().SetAdversary(nullptr);
   for (const auto& exchange : recorder.exchanges()) {
@@ -134,6 +136,30 @@ TEST(KdcReplyCacheTest, DisabledByDefault) {
   ASSERT_TRUE(b.ok());
   EXPECT_NE(a.value(), b.value());
   EXPECT_EQ(bed.kdc().core().reply_cache_hits(), 0u);
+}
+
+TEST(KdcReplyCacheTest, V5WindowSetOnTheLiveKdcTakesEffect) {
+  // The V5 policy stays mutable after construction, and the KDC reads the
+  // reply window on every request: enabling the cache on a running Kdc5
+  // makes the very next duplicate a hit, answered with identical bytes.
+  Testbed5 bed;
+  ksim::Message as_req = CaptureRequestTo(bed, Testbed5::kAsAddr);
+  krb5::KdcCore5& core = bed.kdc().core();
+
+  auto a = bed.world().network().Call(as_req.src, as_req.dst, as_req.payload);
+  auto b = bed.world().network().Call(as_req.src, as_req.dst, as_req.payload);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_NE(a.value(), b.value()) << "window 0: each duplicate mints a ticket";
+  EXPECT_EQ(core.reply_cache_hits(), 0u);
+
+  bed.kdc().policy().reply_cache_window = 30 * ksim::kSecond;
+  auto first = bed.world().network().Call(as_req.src, as_req.dst, as_req.payload);
+  auto second = bed.world().network().Call(as_req.src, as_req.dst, as_req.payload);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(first.value(), second.value());
+  EXPECT_EQ(core.reply_cache_hits(), 1u);
 }
 
 TEST(KdcReplyCacheTest, DoesNotWeakenAppServerReplayDetection) {
