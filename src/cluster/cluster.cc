@@ -740,8 +740,13 @@ bool ClusterController::NodeSliceConsistent(uint64_t node_id) const {
       [&](const krb4::Principal& p, const krb4::PrincipalEntry& entry) {
         have.push_back(krb4::EncodePrincipalEntry(p, entry));
       });
-  std::sort(want.begin(), want.end());
-  std::sort(have.begin(), have.end());
+  // Principals are unique on each side, so the canonical entry order makes
+  // equal entry sets equal sequences.
+  auto by_principal = [](const kerb::Bytes& a, const kerb::Bytes& b) {
+    return krb4::ComparePrincipalEntries(a, b) < 0;
+  };
+  std::sort(want.begin(), want.end(), by_principal);
+  std::sort(have.begin(), have.end(), by_principal);
   return want == have;
 }
 

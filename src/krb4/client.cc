@@ -123,7 +123,7 @@ kerb::Result<ServiceCredentials> Client4::GetServiceTicket(const Principal& serv
   }
   auto cached = service_creds_.find(service);
   if (cached != service_creds_.end() &&
-      clock_.Now() < cached->second.issued_at + cached->second.lifetime) {
+      ksim::BeforeEnd(clock_.Now(), cached->second.issued_at, cached->second.lifetime)) {
     return cached->second;
   }
 

@@ -76,6 +76,23 @@ class KdcKeyCache {
   std::array<Slot, kSlots> slots_;
 };
 
+// Direct-mapped slot for `bytes` among `slots` (a power of two): the last
+// 8 bytes (fewer when shorter) xor `seed`, through the MurmurHash3 64-bit
+// finalizer so every input bit reaches the slot bits. Callers compare the
+// full bytes on lookup, so a collision only costs a miss.
+inline size_t SlotOfTail(kerb::BytesView bytes, uint64_t seed, size_t slots) {
+  uint64_t h = seed;
+  for (size_t i = bytes.size() - std::min<size_t>(bytes.size(), 8); i < bytes.size(); ++i) {
+    h = (h << 8) ^ (h >> 56) ^ bytes[i];
+  }
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  h ^= h >> 33;
+  return static_cast<size_t>(h) & (slots - 1);
+}
+
 // Memo of deterministic unseal results, keyed by (tag, sealing key,
 // ciphertext). A KDC sees the same sealed TGT on every ticket-granting
 // request a client makes for the lifetime of its login session; decrypting
@@ -112,13 +129,10 @@ class KdcUnsealMemo {
  private:
   static constexpr size_t kSlots = 16;
 
-  static size_t Slot(kerb::BytesView sealed) {
-    uint64_t h = 1469598103934665603ull;
-    for (uint8_t b : sealed) {
-      h = (h ^ b) * 1099511628211ull;
-    }
-    return static_cast<size_t>(h & (kSlots - 1));
-  }
+  // The slot comes from the final cipher block alone: under CBC and PCBC it
+  // depends on every plaintext block, so it spreads tickets as well as a
+  // hash of all the bytes would, at one load instead of ~170 multiplies.
+  static size_t Slot(kerb::BytesView sealed) { return SlotOfTail(sealed, 0, kSlots); }
 
   struct Entry {
     bool used = false;
@@ -166,18 +180,13 @@ class KdcReplyCache {
  private:
   static constexpr size_t kSlots = 16;
 
+  // The request's last bytes — the end of its sealed authenticator or
+  // preauth block, or the plaintext fields that follow it — mixed with the
+  // claimed source and the length, as for the unseal memo.
   static size_t Slot(const ksim::NetAddress& src, kerb::BytesView request) {
-    uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](uint8_t b) { h = (h ^ b) * 1099511628211ull; };
-    for (int i = 0; i < 4; ++i) {
-      mix(static_cast<uint8_t>(src.host >> (8 * i)));
-    }
-    mix(static_cast<uint8_t>(src.port));
-    mix(static_cast<uint8_t>(src.port >> 8));
-    for (uint8_t b : request) {
-      mix(b);
-    }
-    return static_cast<size_t>(h & (kSlots - 1));
+    const uint64_t seed = (static_cast<uint64_t>(src.host) << 32) ^
+                          (static_cast<uint64_t>(src.port) << 16) ^ request.size();
+    return SlotOfTail(request, seed, kSlots);
   }
 
   struct Entry {

@@ -1,5 +1,7 @@
 #include "src/krb4/kdcstore.h"
 
+#include <algorithm>
+#include <cstring>
 #include <set>
 #include <utility>
 
@@ -14,6 +16,24 @@ namespace {
 // deliberately NOT drawn from the replica PRNG: the device must not perturb
 // the key-generation streams that capture tests pin byte-for-byte.
 constexpr uint64_t kDeviceSeed = 0x6b70726f70644256ull;
+
+// Splits the next length-prefixed field off the front of `in`; empty (and
+// `in` exhausted) when the rest does not hold one.
+kerb::BytesView NextField(kerb::BytesView& in) {
+  if (in.size() < 4) {
+    in = {};
+    return {};
+  }
+  const size_t len = (static_cast<size_t>(in[0]) << 24) | (static_cast<size_t>(in[1]) << 16) |
+                     (static_cast<size_t>(in[2]) << 8) | static_cast<size_t>(in[3]);
+  if (in.size() - 4 < len) {
+    in = {};
+    return {};
+  }
+  const kerb::BytesView field = in.subspan(4, len);
+  in = in.subspan(4 + len);
+  return field;
+}
 
 }  // namespace
 
@@ -113,6 +133,26 @@ kerb::Status ApplyStoreRecord(KdcDatabase& db, uint8_t op, kerb::BytesView paylo
   return kerb::Status::Ok();
 }
 
+int ComparePrincipalEntries(kerb::BytesView a, kerb::BytesView b) {
+  // Principal::EncodeTo writes name, instance, realm, each length-prefixed;
+  // std::string orders bytes as unsigned, so memcmp, then length. A field
+  // that does not parse reads as empty: the journal holds only
+  // well-formed records, and the order stays total regardless.
+  for (int field = 0; field < 3; ++field) {
+    const kerb::BytesView fa = NextField(a);
+    const kerb::BytesView fb = NextField(b);
+    const size_t common = std::min(fa.size(), fb.size());
+    const int c = common == 0 ? 0 : std::memcmp(fa.data(), fb.data(), common);
+    if (c != 0) {
+      return c;
+    }
+    if (fa.size() != fb.size()) {
+      return fa.size() < fb.size() ? -1 : 1;
+    }
+  }
+  return 0;
+}
+
 kstore::Snapshot SnapshotDatabase(const KdcDatabase& db, uint64_t lsn) {
   kstore::Snapshot snapshot;
   snapshot.lsn = lsn;
@@ -162,9 +202,8 @@ ReplicaPropagation::ReplicaPropagation(ksim::Network* net, const std::string& re
   const kstore::Snapshot base = SnapshotDatabase(*primary_, 0);
   store_ = std::make_unique<kstore::KStore>(kcrypto::Prng(kDeviceSeed), store_options, base);
   primary_->AttachJournal(store_.get());
-  propagator_ = std::make_unique<kstore::Propagator>(
-      net, store_.get(), key_, primary_host, prop_options,
-      [this] { return SnapshotDatabase(*primary_, store_->last_lsn()); });
+  propagator_ = std::make_unique<kstore::Propagator>(net, store_.get(), key_, primary_host,
+                                                     prop_options, &ComparePrincipalEntries);
 }
 
 ReplicaPropagation::~ReplicaPropagation() {
@@ -191,8 +230,13 @@ kstore::Propagator::CycleReport ReplicaPropagation::Propagate() {
   return last_report_;
 }
 
-void ReplicaPropagation::Compact() {
-  store_->Compact(SnapshotDatabase(*primary_, store_->last_lsn()));
+kerb::Status ReplicaPropagation::Compact() {
+  auto image = store_->Fold(&ComparePrincipalEntries);
+  if (!image.ok()) {
+    return image.error();
+  }
+  store_->Compact(std::move(image).value());
+  return kerb::Status::Ok();
 }
 
 }  // namespace krb4

@@ -62,8 +62,16 @@ kerb::Result<std::pair<Principal, PrincipalEntry>> DecodePrincipalEntry(kenc::Re
 // payloads; the database is untouched on failure.
 kerb::Status ApplyStoreRecord(KdcDatabase& db, uint8_t op, kerb::BytesView payload);
 
+// The canonical entry order (kstore::EntryOrder) over encoded bytes: a
+// snapshot entry, upsert payload or delete payload compares by the
+// principal it begins with, in Principal::operator< order, read as views
+// with nothing decoded or copied.
+int ComparePrincipalEntries(kerb::BytesView a, kerb::BytesView b);
+
 // The database's full entry set as a snapshot at `lsn`, entries in the
-// canonical sorted principal order.
+// canonical sorted principal order. Walks the live store, so it serves the
+// bootstrap base and cluster slices; compaction folds the journal instead
+// (ReplicaPropagation::Compact).
 kstore::Snapshot SnapshotDatabase(const KdcDatabase& db, uint64_t lsn);
 
 // Wholesale load: upserts every snapshot entry and removes principals the
@@ -93,10 +101,15 @@ class ReplicaPropagation {
   // One kprop cycle; the report is also retained for inspection.
   kstore::Propagator::CycleReport Propagate();
 
-  // Snapshots the primary at its current LSN and truncates the WAL.
-  // Slaves that have not caught up past the horizon will need a wholesale
-  // transfer on the next cycle.
-  void Compact();
+  // Installs the snapshot at the primary's current LSN and truncates the
+  // WAL. The snapshot is the installed base with the WAL folded in
+  // (KStore::Fold); it is exact because every mutation of the primary is
+  // journaled through KdcDatabase's single funnel, and it touches only the
+  // old image and the records, never the live store. Slaves that have not
+  // caught up past the horizon will need a wholesale transfer on the next
+  // cycle. Fails closed, installing nothing, when the durable base does
+  // not decode.
+  kerb::Status Compact();
 
   kstore::KStore& store() { return *store_; }
   kstore::Propagator& propagator() { return *propagator_; }

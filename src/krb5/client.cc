@@ -201,7 +201,7 @@ kerb::Result<TgsCredentials5> Client5::GetTgtForRealm(const std::string& target_
   }
   auto cached = foreign_tgts_.find(target_realm);
   if (cached != foreign_tgts_.end() &&
-      clock_.Now() < cached->second.issued_at + cached->second.lifetime) {
+      ksim::BeforeEnd(clock_.Now(), cached->second.issued_at, cached->second.lifetime)) {
     return cached->second;
   }
 
@@ -301,7 +301,7 @@ kerb::Result<ServiceCredentials5> Client5::GetServiceTicket(const Principal& ser
                                                             ksim::Duration lifetime) {
   auto cached = service_creds_.find(service);
   if (cached != service_creds_.end() &&
-      clock_.Now() < cached->second.issued_at + cached->second.lifetime) {
+      ksim::BeforeEnd(clock_.Now(), cached->second.issued_at, cached->second.lifetime)) {
     return cached->second;
   }
 

@@ -305,7 +305,10 @@ void Trace::WriteNdjson(std::ostream& os) {
     hist += EvName(kind);
     hist += "\",\"log2_a\":[";
     for (size_t i = 0; i <= last; ++i) {
-      hist += (i == 0 ? "" : ",") + std::to_string(buckets[i]);
+      if (i != 0) {
+        hist += ',';
+      }
+      hist += std::to_string(buckets[i]);
     }
     hist += "]}\n";
     os << hist;

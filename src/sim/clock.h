@@ -30,6 +30,15 @@ constexpr Duration kHour = 60 * kMinute;
 // "typically five minutes" window.
 constexpr Duration kDefaultClockSkewLimit = 5 * kMinute;
 
+// True while `now` is before start + length: the freshness test of a
+// cached credential. A window whose end overflows counts as closed, the
+// rule Ticket4/Ticket5::Expired apply to tickets — a corrupted reply that
+// still decodes can carry times near the int64 limit.
+inline bool BeforeEnd(Time now, Time start, Duration length) {
+  Time end = 0;
+  return !__builtin_add_overflow(start, length, &end) && now < end;
+}
+
 // The single source of simulation time. Owned by the World; advanced
 // explicitly by scenarios.
 class SimClock {

@@ -55,16 +55,17 @@ void SimDevice::Append(const std::string& file, kerb::BytesView data) {
   kobs::EmitNow(kobs::kSrcStore, kobs::Ev::kStoreDevWrite, data.size());
 }
 
-void SimDevice::WriteAtomic(const std::string& file, kerb::BytesView data) {
+void SimDevice::WriteAtomic(const std::string& file, kerb::Bytes data) {
   FileState& state = files_[file];
   // A staged replacement subsumes any volatile tail: the caller is
   // replacing the whole file.
+  const size_t size = data.size();
   state.tail.clear();
-  state.staged = kerb::Bytes(data.begin(), data.end());
+  state.staged = std::move(data);
   Fold(kOpWriteAtomic);
   FoldName(file);
-  Fold(data.size());
-  kobs::EmitNow(kobs::kSrcStore, kobs::Ev::kStoreDevWrite, data.size());
+  Fold(size);
+  kobs::EmitNow(kobs::kSrcStore, kobs::Ev::kStoreDevWrite, size);
 }
 
 void SimDevice::Flush(const std::string& file) {
@@ -108,6 +109,11 @@ kerb::Bytes SimDevice::ReadAll(const std::string& file) const {
   kerb::Bytes out = state.staged.has_value() ? *state.staged : state.durable;
   kerb::Append(out, state.tail);
   return out;
+}
+
+kerb::BytesView SimDevice::DurableView(const std::string& file) const {
+  auto it = files_.find(file);
+  return it == files_.end() ? kerb::BytesView() : kerb::BytesView(it->second.durable);
 }
 
 size_t SimDevice::size(const std::string& file) const {

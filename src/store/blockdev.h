@@ -56,8 +56,9 @@ class SimDevice {
 
   // Stages a wholesale replacement of the file's content, committed by the
   // next Flush(). Until then readers see the staged bytes but a crash
-  // reverts to the old content.
-  void WriteAtomic(const std::string& file, kerb::BytesView data);
+  // reverts to the old content. The device takes the bytes over: a
+  // snapshot image moves in without a copy.
+  void WriteAtomic(const std::string& file, kerb::Bytes data);
 
   // Hardens the file: commits a staged replacement and/or moves the
   // volatile tail into the durable prefix. Subject to lost_flush.
@@ -65,6 +66,11 @@ class SimDevice {
 
   // The file as the running system sees it (staged/volatile included).
   kerb::Bytes ReadAll(const std::string& file) const;
+
+  // The file's durable content in place, without a copy: what a crash now
+  // would leave, before any torn tail. Valid until the next operation on
+  // the file.
+  kerb::BytesView DurableView(const std::string& file) const;
 
   size_t size(const std::string& file) const;
   size_t durable_size(const std::string& file) const;

@@ -226,9 +226,13 @@ bool Propagator::AdvanceSlave(SlaveState& slave, uint64_t target, CycleReport& r
     } else {
       // The slave predates the compaction horizon: only a full transfer
       // can catch it up.
-      const Snapshot snapshot = snapshot_fn_();
-      frame_to = snapshot.lsn;
-      frame = EncodeWholesaleFrame(key_, EncodeSnapshot(snapshot));
+      auto image = store_->Fold(order_);
+      if (!image.ok()) {
+        ++report.failures;
+        return false;
+      }
+      frame_to = store_->last_lsn();
+      frame = EncodeWholesaleFrame(key_, image.value());
       wholesale = true;
       ++report.wholesale_transfers;
       report.wholesale_bytes += frame.size();

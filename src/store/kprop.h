@@ -114,15 +114,13 @@ class Propagator {
     bool slaves_converged = false;
   };
 
-  // `snapshot_fn` produces a current full snapshot for wholesale
-  // transfers; it is only invoked when a slave is behind the compaction
-  // horizon.
-  using SnapshotFn = std::function<Snapshot()>;
-
+  // `order` is the key order of the store's entries. A slave behind the
+  // compaction horizon gets a wholesale transfer of the store's fold
+  // (KStore::Fold) at last_lsn().
   Propagator(ksim::Network* net, KStore* store, kcrypto::DesKey key,
-             uint32_t primary_host, Options options, SnapshotFn snapshot_fn)
+             uint32_t primary_host, Options options, EntryOrder order)
       : net_(net), store_(store), key_(key), primary_host_(primary_host),
-        options_(options), snapshot_fn_(std::move(snapshot_fn)) {}
+        options_(options), order_(order) {}
 
   // Binds `sink`'s handler at {slave_host, options.port} and registers the
   // slave for propagation. The sink must outlive the propagator.
@@ -148,7 +146,7 @@ class Propagator {
   kcrypto::DesKey key_;
   uint32_t primary_host_;
   Options options_;
-  SnapshotFn snapshot_fn_;
+  EntryOrder order_;
   std::vector<SlaveState> slaves_;
 };
 

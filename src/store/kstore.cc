@@ -11,10 +11,11 @@ KStore::KStore(kcrypto::Prng dev_prng, const KStoreOptions& options, const Snaps
       options_(options),
       wal_(&dev_, options.wal_file, base.lsn),
       snapshot_lsn_(base.lsn) {
-  const kerb::Bytes image = EncodeSnapshot(base);
-  dev_.WriteAtomic(options_.snapshot_file, image);
+  kerb::Bytes image = EncodeSnapshot(base);
+  const size_t size = image.size();
+  dev_.WriteAtomic(options_.snapshot_file, std::move(image));
   dev_.Flush(options_.snapshot_file);
-  kobs::EmitNow(kobs::kSrcStore, kobs::Ev::kStoreSnapshot, base.lsn, image.size());
+  kobs::EmitNow(kobs::kSrcStore, kobs::Ev::kStoreSnapshot, base.lsn, size);
 }
 
 uint64_t KStore::Append(uint8_t op, kerb::BytesView payload) {
@@ -41,19 +42,27 @@ bool KStore::Delta(uint64_t from_lsn, std::vector<WalRecord>* out) const {
   return true;
 }
 
-void KStore::Compact(const Snapshot& snapshot) {
+kerb::Result<kerb::Bytes> KStore::Fold(EntryOrder order) const {
+  return FoldSnapshot(dev_.DurableView(options_.snapshot_file), live_, order);
+}
+
+void KStore::Compact(kerb::Bytes image) {
   std::lock_guard lock(mu_);
-  assert(snapshot.lsn == wal_.last_lsn() && "compaction snapshot must be current");
-  const kerb::Bytes image = EncodeSnapshot(snapshot);
-  dev_.WriteAtomic(options_.snapshot_file, image);
+  const uint64_t lsn = wal_.last_lsn();
+  assert([&] {
+    auto decoded = DecodeSnapshot(image);
+    return decoded.ok() && decoded.value().lsn == lsn;
+  }() && "compaction snapshot must be current");
+  const size_t size = image.size();
+  dev_.WriteAtomic(options_.snapshot_file, std::move(image));
   dev_.Flush(options_.snapshot_file);
   // Snapshot durable first; only then truncate the log. A crash between
   // the two leaves a snapshot plus a WAL whose prefix it already covers —
   // Recover() filters those records out.
-  wal_.Rewrite({}, snapshot.lsn);
-  snapshot_lsn_ = snapshot.lsn;
+  wal_.Rewrite({}, lsn);
+  snapshot_lsn_ = lsn;
   live_.clear();
-  kobs::EmitNow(kobs::kSrcStore, kobs::Ev::kStoreSnapshot, snapshot.lsn, image.size());
+  kobs::EmitNow(kobs::kSrcStore, kobs::Ev::kStoreSnapshot, lsn, size);
 }
 
 void KStore::Crash() { dev_.Crash(); }

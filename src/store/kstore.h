@@ -8,8 +8,10 @@
 //     returns its LSN. The caller applies the mutation to its in-memory
 //     store only AFTER the append returns — write-ahead in the literal
 //     sense.
-//   * Compact(snapshot) atomically installs a new base snapshot at the
-//     snapshot's LSN and truncates the WAL to the records after it.
+//   * Fold(order) computes the snapshot image at last_lsn() as the
+//     installed base with the journaled suffix folded in (FoldSnapshot);
+//     Compact(image) atomically installs such an image as the new base and
+//     truncates the WAL to the records after it.
 //   * Delta(from_lsn) yields the records a replica needs to advance from
 //     `from_lsn` to the present — the incremental-propagation feed. It
 //     fails (returns false) when compaction has discarded that history,
@@ -75,10 +77,17 @@ class KStore {
   // compacted away and only a wholesale transfer can help.
   bool Delta(uint64_t from_lsn, std::vector<WalRecord>* out) const;
 
-  // Installs `snapshot` (which must reflect every record up to its LSN,
-  // snapshot.lsn == last_lsn()) as the new durable base and truncates the
-  // WAL. Emits kStoreSnapshot.
-  void Compact(const Snapshot& snapshot);
+  // The snapshot image at last_lsn(): the installed base — read in place
+  // from the device's durable snapshot file, so it is the base Compact()
+  // or Recover() last left, never a stale copy — with every journaled
+  // record since folded in. `order` is the payload codec's key order.
+  kerb::Result<kerb::Bytes> Fold(EntryOrder order) const;
+
+  // Installs `image` (an encoded snapshot reflecting every record up to
+  // last_lsn(), at that LSN) as the new durable base and truncates the
+  // WAL. The image moves into the device without a copy. Emits
+  // kStoreSnapshot.
+  void Compact(kerb::Bytes image);
 
   // Power loss on the underlying device.
   void Crash();

@@ -11,6 +11,12 @@
 // kWalOpUpsert payload, so loading a snapshot is exactly replaying `count`
 // upserts into an empty database.
 //
+// The same fact makes compaction a log fold: the snapshot at LSN n is the
+// base snapshot with the WAL records after it merged in,
+//   snapshot(n) = base ⊕ WAL(base.lsn, n],
+// where the last record per entry key wins. FoldSnapshot computes it from
+// the two byte images alone, never from the live database.
+//
 // Layout, big-endian:
 //   u32 magic 'KSN1' | u64 lsn | u32 count | count * lp(entry) | u32 crc
 // where the trailing CRC-32 covers everything before it.
@@ -23,6 +29,7 @@
 
 #include "src/common/bytes.h"
 #include "src/common/result.h"
+#include "src/store/wal.h"
 
 namespace kstore {
 
@@ -43,6 +50,25 @@ kerb::Bytes EncodeSnapshot(const Snapshot& snapshot);
 // Fail-closed: bad magic, truncation, implausible counts, and CRC damage
 // are all kBadFormat.
 kerb::Result<Snapshot> DecodeSnapshot(kerb::BytesView image);
+
+// Orders two entries by the key they describe: negative, zero or positive
+// as a's key sorts before, equal to or after b's. Snapshot entries and
+// upsert and delete payloads all begin with their key, so one comparator
+// orders all three. The codec that owns the payloads supplies it.
+using EntryOrder = int (*)(kerb::BytesView a, kerb::BytesView b);
+
+// base ⊕ records: the image of the snapshot at the last record's LSN, in
+// one pass. Per key the last record wins: an upsert's payload becomes the
+// entry, a delete drops it; other ops only advance the LSN. Runs of
+// untouched base entries are copied verbatim into a buffer reserved up
+// front. `base_image`'s entries must be sorted by `order` (every encoder
+// here writes them so). The base's CRC trailer is not re-computed: the
+// base is an image this process installed or DecodeSnapshot already
+// checked, and a device never alters committed bytes. Its structure is
+// checked: a malformed base, or records that do not continue its LSN one
+// by one, are kBadFormat.
+kerb::Result<kerb::Bytes> FoldSnapshot(kerb::BytesView base_image,
+                                       const std::vector<WalRecord>& records, EntryOrder order);
 
 }  // namespace kstore
 

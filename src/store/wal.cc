@@ -104,7 +104,7 @@ void Wal::Rewrite(const std::vector<WalRecord>& records, uint64_t last_lsn) {
   for (const WalRecord& record : records) {
     kerb::Append(image, EncodeWalFrame(record));
   }
-  dev_->WriteAtomic(file_, image);
+  dev_->WriteAtomic(file_, std::move(image));
   dev_->Flush(file_);
   last_lsn_ = last_lsn;
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "src/attacks/testbed.h"
 
 namespace krb4 {
@@ -141,6 +143,49 @@ TEST(ErrorPaths4Test, ForgedTicketWithRealKeyWouldWork_KerckhoffsBaseline) {
   auto verdict = bed.mail_server().VerifyApRequest(req, Testbed4::kEveAddr.host);
   EXPECT_TRUE(verdict.ok());
   EXPECT_EQ(verdict.value().client.name, "made-up-user");
+}
+
+// Garbage times of the kind a corrupted TGS reply that still decodes leaves
+// in the credential cache (seen under chaos): their sum overflows int64.
+constexpr int64_t kGarbageIssuedAt = 6896223737596148167;
+constexpr int64_t kGarbageLifetime = 6896222819656169091;
+
+TEST(ErrorPaths4Test, CachedTicketWithOverflowingEndIsRefetched) {
+  // A stand-in TGS seals a reply under the client's real TGT session key,
+  // with times chosen per test phase. A cached credential whose end
+  // overflows must read as expired (the Ticket4::Expired rule), not wrap.
+  Testbed4 bed;
+  const ksim::NetAddress fake_tgs{0x0a0000fe, 750};
+  Client4 client(&bed.world().network(), {0x0a000199, 1023}, bed.world().MakeHostClock(0),
+                 bed.alice_principal(), Testbed4::kAsAddr, fake_tgs);
+  int served = 0;
+  ksim::Time issued_at = 0;
+  ksim::Duration lifetime = 0;
+  bed.world().network().Bind(fake_tgs, [&](const ksim::Message&) -> kerb::Result<kerb::Bytes> {
+    ++served;
+    TgsReplyBody4 body;
+    body.session_key = kcrypto::DesKey(0x0123456789abcdefull).bytes();
+    body.sealed_ticket = kerb::Bytes(16, 0xab);
+    body.issued_at = issued_at;
+    body.lifetime = lifetime;
+    return Frame4(MsgType::kTgsReply,
+                  Seal4(client.tgs_credentials()->session_key, body.Encode()));
+  });
+  ASSERT_TRUE(client.Login(Testbed4::kAlicePassword).ok());
+
+  // Control: a sane credential is served from the cache.
+  issued_at = bed.world().clock().Now();
+  lifetime = ksim::kHour;
+  ASSERT_TRUE(client.GetServiceTicket(bed.mail_principal()).ok());
+  ASSERT_TRUE(client.GetServiceTicket(bed.mail_principal()).ok());
+  EXPECT_EQ(served, 1);
+
+  client.DropServiceCredentials();
+  issued_at = kGarbageIssuedAt;
+  lifetime = kGarbageLifetime;
+  ASSERT_TRUE(client.GetServiceTicket(bed.mail_principal()).ok());
+  ASSERT_TRUE(client.GetServiceTicket(bed.mail_principal()).ok());
+  EXPECT_EQ(served, 3) << "an overflowing end must count as expired and force a re-fetch";
 }
 
 }  // namespace

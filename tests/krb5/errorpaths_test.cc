@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "src/attacks/testbed5.h"
 #include "src/crypto/str2key.h"
 #include "src/hardened/policy.h"
@@ -188,6 +190,51 @@ TEST(ErrorPaths5Test, HardenedKdcRejectsReplayedPreauth) {
   auto replay =
       bed.world().network().Call(Testbed5::kEveAddr, Testbed5::kAsAddr, captured);
   EXPECT_EQ(replay.code(), kerb::ErrorCode::kAuthFailed);
+}
+
+TEST(ErrorPaths5Test, CachedCredentialsWithOverflowingEndAreRefetched) {
+  // Stand-in TGSs for the home realm and a child realm answer with times a
+  // corrupted reply that still decodes can carry: issued_at + lifetime
+  // overflows int64. Both caches — the cross-realm TGT and the service
+  // ticket — must read such an end as expired (the Ticket5::Expired rule)
+  // and re-fetch, not wrap.
+  Testbed5 bed;
+  const std::string child = "X." + bed.realm;
+  const ksim::NetAddress home_tgs{0x0a0000fe, 750};
+  const ksim::NetAddress child_tgs{0x0a0000fd, 750};
+  const kcrypto::DesKey issued_key(0x0123456789abcdefull);
+  Client5 client(&bed.world().network(), {0x0a000199, 1023}, bed.world().MakeHostClock(0),
+                 bed.alice_principal(), Testbed5::kAsAddr, kcrypto::Prng(5));
+  client.AddRealmTgs(bed.realm, home_tgs);
+  client.AddRealmTgs(child, child_tgs);
+  int home_served = 0;
+  int child_served = 0;
+  kcrypto::Prng confounders(6);
+  auto reply_sealed_under = [&](const kcrypto::DesKey& key) {
+    EncTgsRepPart5 part;
+    part.session_key = issued_key.bytes();
+    part.issued_at = 6896223737596148167;
+    part.lifetime = 6896222819656169091;
+    TgsReply5 reply;
+    reply.sealed_ticket = kerb::Bytes(16, 0xab);
+    reply.sealed_enc_part = SealTlv(key, part.ToTlv(), EncLayerConfig{}, confounders);
+    return reply.ToTlv().Encode();
+  };
+  bed.world().network().Bind(home_tgs, [&](const ksim::Message&) -> kerb::Result<kerb::Bytes> {
+    ++home_served;
+    return reply_sealed_under(client.tgs_credentials()->session_key);
+  });
+  bed.world().network().Bind(child_tgs, [&](const ksim::Message&) -> kerb::Result<kerb::Bytes> {
+    ++child_served;
+    return reply_sealed_under(issued_key);
+  });
+  ASSERT_TRUE(client.Login(Testbed5::kAlicePassword).ok());
+
+  const Principal service = Principal::Service("pop", "mailhub", child);
+  ASSERT_TRUE(client.GetServiceTicket(service).ok());
+  ASSERT_TRUE(client.GetServiceTicket(service).ok());
+  EXPECT_EQ(home_served, 2) << "cross-realm TGT with an overflowing end must be re-fetched";
+  EXPECT_EQ(child_served, 2) << "service ticket with an overflowing end must be re-fetched";
 }
 
 }  // namespace

@@ -237,7 +237,7 @@ TEST(KStoreTest, CompactionBoundsDeltaHistory) {
   kstore::Snapshot snapshot;
   snapshot.lsn = store.last_lsn();
   snapshot.entries = {B("a"), B("b")};
-  store.Compact(snapshot);
+  store.Compact(kstore::EncodeSnapshot(snapshot));
   EXPECT_EQ(store.snapshot_lsn(), 2u);
 
   EXPECT_FALSE(store.Delta(0, &delta)) << "pre-snapshot history is compacted away";

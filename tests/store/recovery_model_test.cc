@@ -137,7 +137,13 @@ TEST(RecoveryModelTest, SnapshotPlusWalPrefixEqualsModel) {
         history.push_back(LoggedOp{kstore::kWalOpDelete, std::move(victim), {}, {}});
       }
     } else if (dice < 85) {
-      store.Compact(krb4::SnapshotDatabase(db, store.last_lsn()));
+      // The fold of base and journal must be the live database's snapshot.
+      auto image = store.Fold(&krb4::ComparePrincipalEntries);
+      ASSERT_TRUE(image.ok()) << "step " << step << ": " << image.error().ToString();
+      ASSERT_EQ(image.value(),
+                kstore::EncodeSnapshot(krb4::SnapshotDatabase(db, store.last_lsn())))
+          << "step " << step;
+      store.Compact(std::move(image).value());
       ++compactions;
     } else {
       store.Crash();
